@@ -30,8 +30,8 @@
 //! unfused-compiled are **bit-identical** for every model and batch,
 //! and proves the zero-requantization claim by call-count: a
 //! `CountingEngine` wraps the BFP engine, a model is compiled and
-//! served repeatedly, and the `prepare`/raw-`gemm` counters must not
-//! move from their post-compile values. Running in `--test` (smoke)
+//! served repeatedly, and the `prepare` counter must not move from its
+//! post-compile value. Running in `--test` (smoke)
 //! mode executes all of these checks; full runs additionally assert
 //! the ≥2x eager/compiled floor on the transformer and that the fused
 //! plan beats the unfused plan on the towers at batch 1 and 32, then
@@ -157,26 +157,26 @@ fn combine_margins(margins: &[PairedSpeedup]) -> PairedSpeedup {
     }
 }
 
-/// Compile once, serve forever: `prepare` and raw-`gemm` counts must be
-/// frozen at their post-compile values while `gemm_prepared` does all
-/// the serving.
+/// Compile once, serve forever: the `prepare` count must be frozen at
+/// its post-compile value while `run_into` against the prepared
+/// weights does all the serving.
 fn assert_zero_requantization(mirage: &Mirage, net: &Sequential, x: &Tensor, requests: usize) {
     let (engine, counters) = CountingEngine::new(mirage.gemm_engine());
     let engines = Engines::uniform(engine);
     let compiled = net.compile(&engines).expect("proxy model compiles");
-    let after_compile = (counters.prepares(), counters.raw_gemms());
-    assert!(after_compile.0 > 0, "compile should prepare every weight");
+    let after_compile = counters.prepares();
+    assert!(after_compile > 0, "compile should prepare every weight");
     let mut scratch = ActivationScratch::new();
     for _ in 0..requests {
         black_box(compiled.run_with(x, &mut scratch).expect("serves"));
     }
     assert_eq!(
-        (counters.prepares(), counters.raw_gemms()),
+        counters.prepares(),
         after_compile,
         "compiled serving ran weight-side quantization after compile"
     );
     assert_eq!(
-        counters.prepared_gemms(),
+        counters.runs(),
         requests * (2 * BLOCKS + 1),
         "every layer GEMM should go through the prepared path"
     );

@@ -3,61 +3,48 @@
 //!
 //! The compiled-model serving claims ("zero weight-side quantization
 //! after compile") are about which engine entry points run on the hot
-//! path: weight-side quantization happens inside [`GemmEngine::prepare`]
-//! (once, at compile time) or inside a raw [`GemmEngine::gemm`] (every
-//! call, on the eager path) — never inside
-//! [`GemmEngine::gemm_prepared`]. [`CountingEngine`] wraps any engine
-//! and tallies every entry point through shared atomic counters, so a
-//! test can compile a model, serve a thousand requests, and assert the
-//! `prepare`/`gemm` counters did not move — the call-count analogue of
+//! path. Every GEMM goes through the two methods an engine writes:
+//! weight-side quantization happens inside [`GemmEngine::prepare`] —
+//! once at compile time, or once per call on the eager path, where a
+//! raw [`GemmEngine::gemm`] is a `prepare` plus a `run_into` — and never
+//! inside [`GemmEngine::run_into`]. [`CountingEngine`] wraps any engine
+//! and tallies both through shared atomic counters, so a test can
+//! compile a model, serve a thousand requests, and assert the `prepare`
+//! counter did not move — the call-count analogue of
 //! `kernel_microbench`'s scratch-pointer spot-check.
 
+use mirage_tensor::engines::Epilogue;
 use mirage_tensor::{GemmEngine, PreparedRhs, Result, Tensor};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Shared tallies of every [`GemmEngine`] entry point (see
+/// Shared tallies of the two [`GemmEngine`] entry points (see
 /// [`CountingEngine`]). Counters are atomic so the wrapped engine can
 /// run under the tiled parallel driver.
 #[derive(Debug, Default)]
 pub struct GemmCounters {
-    raw_gemms: AtomicUsize,
     prepares: AtomicUsize,
-    tile_prepares: AtomicUsize,
-    prepared_gemms: AtomicUsize,
+    runs: AtomicUsize,
 }
 
 impl GemmCounters {
-    /// Calls to [`GemmEngine::gemm`] — the *unprepared* path, which
-    /// re-runs B-side quantization every time on quantizing engines.
-    pub fn raw_gemms(&self) -> usize {
-        self.raw_gemms.load(Ordering::Relaxed)
-    }
-
-    /// Calls to [`GemmEngine::prepare`] — the one-time weight-side
-    /// quantization.
+    /// Calls to [`GemmEngine::prepare`] — weight-side quantization,
+    /// including the one inside every raw [`GemmEngine::gemm`].
     pub fn prepares(&self) -> usize {
         self.prepares.load(Ordering::Relaxed)
     }
 
-    /// Calls to [`GemmEngine::prepare_tile`] (slicing an existing
-    /// preparation; no re-quantization).
-    pub fn tile_prepares(&self) -> usize {
-        self.tile_prepares.load(Ordering::Relaxed)
+    /// Calls to [`GemmEngine::run_into`] — every GEMM, prepared or raw;
+    /// only the activation side touches the quantizer here.
+    pub fn runs(&self) -> usize {
+        self.runs.load(Ordering::Relaxed)
     }
 
-    /// Calls to [`GemmEngine::gemm_prepared`] /
-    /// [`GemmEngine::gemm_prepared_into`] — the serving hot path, which
-    /// only quantizes the activation side.
-    pub fn prepared_gemms(&self) -> usize {
-        self.prepared_gemms.load(Ordering::Relaxed)
-    }
-
-    /// Total weight-side quantization opportunities: raw GEMMs plus
-    /// preparations. On a compiled serving path this must stay frozen
-    /// at its post-compile value.
+    /// Total weight-side quantization opportunities, which is exactly
+    /// [`GemmCounters::prepares`]. On a compiled serving path this must
+    /// stay frozen at its post-compile value.
     pub fn weight_side_work(&self) -> usize {
-        self.raw_gemms() + self.prepares()
+        self.prepares()
     }
 }
 
@@ -95,39 +82,20 @@ impl<E: GemmEngine> GemmEngine for CountingEngine<E> {
         self.inner.tile_invariant()
     }
 
-    fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        self.counters.raw_gemms.fetch_add(1, Ordering::Relaxed);
-        self.inner.gemm(a, b)
-    }
-
     fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
         self.counters.prepares.fetch_add(1, Ordering::Relaxed);
         self.inner.prepare(b)
     }
 
-    fn prepare_tile(
-        &self,
-        whole: &PreparedRhs,
-        c0: usize,
-        width: usize,
-    ) -> Result<Option<PreparedRhs>> {
-        self.counters.tile_prepares.fetch_add(1, Ordering::Relaxed);
-        self.inner.prepare_tile(whole, c0, width)
-    }
-
-    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        self.counters.prepared_gemms.fetch_add(1, Ordering::Relaxed);
-        self.inner.gemm_prepared(a, b)
-    }
-
-    fn gemm_prepared_into(
+    fn run_into(
         &self,
         a: &Tensor,
         b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
-        self.counters.prepared_gemms.fetch_add(1, Ordering::Relaxed);
-        self.inner.gemm_prepared_into(a, b, out)
+        self.counters.runs.fetch_add(1, Ordering::Relaxed);
+        self.inner.run_into(a, b, epilogue, out)
     }
 }
 
@@ -154,11 +122,13 @@ mod tests {
             (4, 3)
         );
         assert_eq!(out, reference.data());
-        let _ = engine.prepare_tile(&prepared, 0, 2).unwrap();
-        assert_eq!(counters.raw_gemms(), 1);
-        assert_eq!(counters.prepares(), 1);
-        assert_eq!(counters.prepared_gemms(), 2);
-        assert_eq!(counters.tile_prepares(), 1);
+        // A column view shares the preparation: no new `prepare`.
+        let _ = engine
+            .gemm_prepared(&a, &prepared.slice_cols(0, 2).unwrap())
+            .unwrap();
+        // The raw `gemm` is one prepare plus one run.
+        assert_eq!(counters.prepares(), 2);
+        assert_eq!(counters.runs(), 4);
         assert_eq!(counters.weight_side_work(), 2);
         assert_eq!(engine.name(), "fp32");
         assert!(engine.tile_invariant());

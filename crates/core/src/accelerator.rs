@@ -63,21 +63,10 @@ impl Mirage {
 
     /// Like [`Mirage::parallel_gemm_engine`] with an explicit
     /// [`TileConfig`] (pin thread counts in benchmarks, force serial in
-    /// bit-exactness baselines).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`mirage_tensor::TensorError::InvalidGeometry`] when the
-    /// tiling is invalid for this accelerator's BFP operating point: a
-    /// nonzero `tile_k` that is not a multiple of the group size `g`
-    /// would move quantization group boundaries — a silent accuracy
-    /// change — so it is rejected here (see [`TileConfig::validate`]).
-    pub fn parallel_gemm_engine_with(
-        &self,
-        config: TileConfig,
-    ) -> TensorResult<ParallelGemm<BfpEngine>> {
-        config.validate(&self.bfp_config())?;
-        Ok(ParallelGemm::new(self.gemm_engine(), config))
+    /// bit-exactness baselines). Every tiling is bit-identical to
+    /// [`Mirage::gemm_engine`]: the driver never splits `k`.
+    pub fn parallel_gemm_engine_with(&self, config: TileConfig) -> ParallelGemm<BfpEngine> {
+        ParallelGemm::new(self.gemm_engine(), config)
     }
 
     /// Batched inference through the Mirage arithmetic: computes
@@ -100,7 +89,7 @@ impl Mirage {
     }
 
     /// Prepares (quantizes) a weight matrix once for repeated inference
-    /// via `gemm_prepared`/`gemm_batch_prepared` on
+    /// via `run_into`/`gemm_prepared`/`gemm_batch_prepared` on
     /// [`Mirage::parallel_gemm_engine`].
     ///
     /// # Errors
@@ -135,16 +124,13 @@ impl Mirage {
     ///
     /// # Errors
     ///
-    /// Returns [`mirage_tensor::TensorError::InvalidGeometry`] when the
-    /// tiling is invalid for this accelerator's BFP operating point,
-    /// plus the [`Mirage::compile`] errors.
+    /// The [`Mirage::compile`] errors.
     pub fn compile_with(
         &self,
         net: &Sequential,
         config: TileConfig,
     ) -> mirage_nn::Result<CompiledNetwork> {
-        let engine = self.parallel_gemm_engine_with(config)?;
-        net.compile(&Engines::uniform(engine))
+        net.compile(&Engines::uniform(self.parallel_gemm_engine_with(config)))
     }
 
     /// Compiles `net` and re-places it across simulated accelerator
@@ -181,23 +167,13 @@ impl Mirage {
     }
 
     /// Like [`Mirage::model_session`] with an explicit [`TileConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`mirage_tensor::TensorError::InvalidGeometry`] when the
-    /// tiling is invalid for this accelerator's BFP operating point.
-    pub fn model_session_with(&self, config: TileConfig) -> TensorResult<ModelSession> {
+    pub fn model_session_with(&self, config: TileConfig) -> ModelSession {
         ModelSession::with_tile_config(self, config)
     }
 
     /// Like [`Mirage::inference_session`] with an explicit
     /// [`TileConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`mirage_tensor::TensorError::InvalidGeometry`] when the
-    /// tiling is invalid for this accelerator's BFP operating point.
-    pub fn inference_session_with(&self, config: TileConfig) -> TensorResult<InferenceSession> {
+    pub fn inference_session_with(&self, config: TileConfig) -> InferenceSession {
         InferenceSession::with_tile_config(self, config)
     }
 
@@ -325,7 +301,6 @@ mod tests {
         let serial = mirage.gemm_engine().gemm(&a, &b).unwrap();
         let parallel = mirage
             .parallel_gemm_engine_with(TileConfig::auto().with_threads(4))
-            .unwrap()
             .gemm(&a, &b)
             .unwrap();
         assert_eq!(parallel.data(), serial.data());
@@ -373,19 +348,6 @@ mod tests {
                 mirage.gemm_engine().gemm(&x, &weight).unwrap().data()
             );
         }
-    }
-
-    #[test]
-    fn misaligned_tile_k_is_rejected_by_constructors() {
-        let mirage = Mirage::paper_default();
-        let mut config = TileConfig::auto();
-        config.tile_k = 24; // g = 16: would move group boundaries
-        assert!(mirage.parallel_gemm_engine_with(config).is_err());
-        assert!(mirage.inference_session_with(config).is_err());
-        config.tile_k = 32; // multiple of g: allowed
-        assert!(mirage.parallel_gemm_engine_with(config).is_ok());
-        config.tile_k = 0; // never split: allowed
-        assert!(mirage.parallel_gemm_engine_with(config).is_ok());
     }
 
     #[test]

@@ -393,7 +393,7 @@ impl PlanStep for EagerStep {
 /// peephole folded a following `ReluStep` in) is applied by the
 /// engine's fused-[`Epilogue`] entry point — one pass over the
 /// still-hot output block, bit-identical to the separate sweeps by the
-/// [`mirage_tensor::GemmEngine::gemm_prepared_epilogue_into`] contract.
+/// [`mirage_tensor::GemmEngine::run_into`] epilogue contract.
 pub(crate) struct DenseStep {
     engine: Arc<dyn GemmEngine>,
     prepared: PreparedRhs,
@@ -435,9 +435,9 @@ impl PlanStep for DenseStep {
             if self.relu {
                 epilogue = epilogue.with_relu();
             }
-            let (m, n) =
-                self.engine
-                    .gemm_prepared_epilogue_into(x, &self.prepared, &epilogue, &mut out)?;
+            let (m, n) = self
+                .engine
+                .run_into(x, &self.prepared, &epilogue, &mut out)?;
             Ok(Tensor::from_vec(out, &[m, n])?)
         } else {
             // The unfused baseline: bare GEMM, then the same standalone
@@ -479,25 +479,24 @@ impl PlanStep for DenseStep {
     }
 
     /// Column-shards the prepared weight: shard `i` owns a contiguous
-    /// slice of output features cut from the shared preparation by
-    /// [`GemmEngine::prepare_tile`], plus the matching bias slice. The
+    /// slice of output features, a [`PreparedRhs::slice_cols`] view of
+    /// the shared preparation, plus the matching bias slice. The
     /// fixed-order column concat equals the whole GEMM bit-exactly for
     /// tile-invariant engines — the same invariant the tiled parallel
     /// driver relies on, lifted to model level. A fused ReLU shards
     /// freely: it is elementwise, so applying it per column shard
     /// before the concat equals applying it after.
     fn shard(&self, shards: usize) -> Result<Option<Vec<crate::shard::ShardedStep>>> {
-        use crate::shard::{column_ranges, slice_prepared, GemmShardPart, ShardedStep};
+        use crate::shard::{column_ranges, GemmShardPart, ShardedStep};
         if !self.engine.tile_invariant() {
             return Ok(None);
         }
         let mut parts: Vec<Box<dyn PlanStep>> = Vec::with_capacity(shards);
         for (c0, width) in column_ranges(self.prepared.n(), shards) {
-            let tile = slice_prepared(&self.engine, &self.prepared, c0, width)?;
             parts.push(Box::new(GemmShardPart::new(
                 "dense-shard",
                 self.engine.clone(),
-                tile,
+                self.prepared.slice_cols(c0, width)?,
                 Some(self.bias[c0..c0 + width].to_vec()),
                 self.relu,
             )));
@@ -630,9 +629,7 @@ impl PlanStep for SelfAttentionStep {
     /// (its reduction dimension is the full `dim`, so it cannot join
     /// stage one without splitting `k` — which the contract forbids).
     fn shard(&self, shards: usize) -> Result<Option<Vec<crate::shard::ShardedStep>>> {
-        use crate::shard::{
-            column_ranges, head_ranges, slice_prepared, GemmShardPart, HeadShardPart, ShardedStep,
-        };
+        use crate::shard::{column_ranges, head_ranges, GemmShardPart, HeadShardPart, ShardedStep};
         if !self.engine.tile_invariant() {
             return Ok(None);
         }
@@ -646,9 +643,9 @@ impl PlanStep for SelfAttentionStep {
                 self.dim,
                 head_dim,
                 count,
-                slice_prepared(&self.engine, &self.wq_t, c0, width)?,
-                slice_prepared(&self.engine, &self.wk_t, c0, width)?,
-                slice_prepared(&self.engine, &self.wv_t, c0, width)?,
+                self.wq_t.slice_cols(c0, width)?,
+                self.wk_t.slice_cols(c0, width)?,
+                self.wv_t.slice_cols(c0, width)?,
             )));
         }
         let mut proj_parts: Vec<Box<dyn PlanStep>> = Vec::with_capacity(shards);
@@ -656,7 +653,7 @@ impl PlanStep for SelfAttentionStep {
             proj_parts.push(Box::new(GemmShardPart::new(
                 "attention-proj-shard",
                 self.engine.clone(),
-                slice_prepared(&self.engine, &self.wo_t, c0, width)?,
+                self.wo_t.slice_cols(c0, width)?,
                 None,
                 false,
             )));

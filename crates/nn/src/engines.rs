@@ -85,7 +85,7 @@ impl Engines {
     ///
     /// The engines are type-erased (`Arc<dyn GemmEngine>`), and the
     /// preparation survives that erasure: the smart-pointer
-    /// `GemmEngine` impls forward `prepare`/`gemm_prepared` to the
+    /// `GemmEngine` impls forward `prepare`/`run_into` to the
     /// concrete engine, so a BFP stack still skips its weight-side
     /// quantization here.
     ///

@@ -6,16 +6,15 @@
 //! which means *placement*: more than one accelerator holding a slice
 //! of the model. This module lifts the column-slicing machinery that
 //! already exists at tile level
-//! ([`GemmEngine::prepare_tile`](mirage_tensor::GemmEngine::prepare_tile))
+//! ([`PreparedRhs::slice_cols`](mirage_tensor::PreparedRhs::slice_cols))
 //! into model-level parallelism:
 //!
 //! - **Tensor parallelism** ([`ShardPlan`]): every shardable step of a
 //!   [`CompiledNetwork`] is split over K simulated accelerator
 //!   instances. Shard `i` owns a contiguous **column** shard of each
 //!   Dense weight (and a contiguous head range of each attention
-//!   layer), sliced out of the *one shared preparation* by
-//!   `prepare_tile` — no re-quantization, no per-shard weight copies of
-//!   the packed state. A deterministic combiner ([`ShardCombiner`])
+//!   layer), a `slice_cols` view of the *one shared preparation* — no
+//!   re-quantization, no per-shard weight copies of the packed state. A deterministic combiner ([`ShardCombiner`])
 //!   reassembles the per-shard outputs in fixed shard order.
 //! - **Pipeline parallelism**
 //!   ([`CompiledNetwork::with_pipeline`]): the plan's steps are split
@@ -105,30 +104,6 @@ pub(crate) fn column_ranges(n: usize, shards: usize) -> Vec<(usize, usize)> {
 /// the head range is what maps to a column range of `Wq`/`Wk`/`Wv`.
 pub(crate) fn head_ranges(heads: usize, shards: usize) -> Vec<(usize, usize)> {
     column_ranges(heads, shards)
-}
-
-/// Derives the preparation for columns `[c0, c0 + width)` of a shared
-/// prepared weight: [`GemmEngine::prepare_tile`] slices the packed
-/// buffers with no re-quantization; engines without a tile path fall
-/// back to preparing the raw column slice (bit-identical by the
-/// `prepare_tile` contract). Zero-width shards get a raw empty slice —
-/// nothing to quantize.
-pub(crate) fn slice_prepared(
-    engine: &Arc<dyn GemmEngine>,
-    whole: &PreparedRhs,
-    c0: usize,
-    width: usize,
-) -> Result<PreparedRhs> {
-    if width == 0 {
-        return Ok(PreparedRhs::from_raw(
-            engine.name(),
-            &whole.slice_raw_cols(c0, 0)?,
-        )?);
-    }
-    match engine.prepare_tile(whole, c0, width)? {
-        Some(tile) => Ok(tile),
-        None => Ok(engine.prepare(&whole.slice_raw_cols(c0, width)?)?),
-    }
 }
 
 // ──────────────────────────── combiners ────────────────────────────────
@@ -343,8 +318,10 @@ impl PlanStep for GemmShardPart {
     }
 
     fn run(&self, x: &Tensor, scratch: &mut ActivationScratch) -> Result<Tensor> {
-        let (rows, cols) = match x.shape() {
-            [r, c] => (*r, *c),
+        // A shard that owns no columns (K > n) runs like any other: the
+        // engine returns a well-formed `rows × 0` block for the concat.
+        let rows = match x.shape() {
+            [r, _] => *r,
             other => {
                 return Err(NnError::Tensor(TensorError::ShapeMismatch {
                     left: other.to_vec(),
@@ -352,17 +329,6 @@ impl PlanStep for GemmShardPart {
                 }))
             }
         };
-        if self.prepared.n() == 0 {
-            // A shard that owns no columns (K > n): its output is a
-            // well-formed `rows × 0` block in the concat, not a panic.
-            if cols != self.prepared.k() {
-                return Err(NnError::Tensor(TensorError::DimMismatch {
-                    left: cols,
-                    right: self.prepared.k(),
-                }));
-            }
-            return Ok(Tensor::from_vec(Vec::new(), &[rows, 0])?);
-        }
         let mut out = scratch.take(rows * self.prepared.n());
         let mut epilogue = Epilogue::none();
         if let Some(bias) = &self.bias {
@@ -371,9 +337,9 @@ impl PlanStep for GemmShardPart {
         if self.relu {
             epilogue = epilogue.with_relu();
         }
-        let (m, n) =
-            self.engine
-                .gemm_prepared_epilogue_into(x, &self.prepared, &epilogue, &mut out)?;
+        let (m, n) = self
+            .engine
+            .run_into(x, &self.prepared, &epilogue, &mut out)?;
         Ok(Tensor::from_vec(out, &[m, n])?)
     }
 }

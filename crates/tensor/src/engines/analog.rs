@@ -1,6 +1,6 @@
 //! Conventional analog-core GEMM with lossy ADC read-out.
 
-use super::{gemm_dims, GemmEngine};
+use super::{gemm_dims, Epilogue, GemmEngine, PreparedRhs};
 use crate::quant::{int_scale, quantize_int};
 use crate::{Result, Tensor};
 
@@ -78,7 +78,18 @@ impl GemmEngine for AnalogFxpEngine {
         false
     }
 
-    fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
+        PreparedRhs::from_raw(self.name(), b)
+    }
+
+    fn run_into(
+        &self,
+        a: &Tensor,
+        b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
+        out: &mut Vec<f32>,
+    ) -> Result<(usize, usize)> {
+        let b = b.raw();
         let (m, k, n) = gemm_dims(a, b)?;
 
         // Operand quantization before the DACs (per-matrix dynamic scale,
@@ -105,7 +116,8 @@ impl GemmEngine for AnalogFxpEngine {
         let adc_levels = f64::from((1i64 << (self.b_adc - 1)) as i32 - 1);
         let lsb = full_scale / adc_levels;
 
-        let mut out = vec![0.0f32; m * n];
+        out.clear();
+        out.resize(m * n, 0.0);
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f64;
@@ -123,7 +135,8 @@ impl GemmEngine for AnalogFxpEngine {
                 out[i * n + j] = (acc * f64::from(a_scale) * f64::from(b_scale)) as f32;
             }
         }
-        Tensor::from_vec(out, &[m, n])
+        epilogue.apply(out, m, n)?;
+        Ok((m, n))
     }
 }
 

@@ -1,6 +1,6 @@
 //! FP32 reference GEMM.
 
-use super::{gemm_dims, GemmEngine};
+use super::{gemm_dims, Epilogue, GemmEngine, PreparedRhs};
 use crate::{Result, Tensor};
 
 /// Full-precision FP32 GEMM — the accuracy reference all quantized
@@ -32,27 +32,51 @@ impl GemmEngine for ExactEngine {
         true
     }
 
-    fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        let (m, k, n) = gemm_dims(a, b)?;
-        let mut out = vec![0.0f32; m * n];
-        let ad = a.data();
-        let bd = b.data();
-        // i-k-j loop order: unit-stride access for both B and C.
-        for i in 0..m {
-            for p in 0..k {
-                let av = ad[i * k + p];
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &bd[p * n..(p + 1) * n];
-                let crow = &mut out[i * n..(i + 1) * n];
-                for (c, &bv) in crow.iter_mut().zip(brow) {
-                    *c += av * bv;
-                }
+    fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
+        PreparedRhs::from_raw(self.name(), b)
+    }
+
+    fn run_into(
+        &self,
+        a: &Tensor,
+        b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
+        out: &mut Vec<f32>,
+    ) -> Result<(usize, usize)> {
+        let (m, n) = exact_gemm_into(a, b.raw(), out)?;
+        epilogue.apply(out, m, n)?;
+        Ok((m, n))
+    }
+}
+
+/// The FP32 kernel over raw operands, writing `A · B` into `out`
+/// (cleared first) and returning `(m, n)` — shared with the engines
+/// that round their operands and then accumulate in FP32.
+pub(crate) fn exact_gemm_into(
+    a: &Tensor,
+    b: &Tensor,
+    out: &mut Vec<f32>,
+) -> Result<(usize, usize)> {
+    let (m, k, n) = gemm_dims(a, b)?;
+    out.clear();
+    out.resize(m * n, 0.0);
+    let ad = a.data();
+    let bd = b.data();
+    // i-k-j loop order: unit-stride access for both B and C.
+    for i in 0..m {
+        for p in 0..k {
+            let av = ad[i * k + p];
+            if av == 0.0 {
+                continue;
+            }
+            let brow = &bd[p * n..(p + 1) * n];
+            let crow = &mut out[i * n..(i + 1) * n];
+            for (c, &bv) in crow.iter_mut().zip(brow) {
+                *c += av * bv;
             }
         }
-        Tensor::from_vec(out, &[m, n])
     }
+    Ok((m, n))
 }
 
 #[cfg(test)]

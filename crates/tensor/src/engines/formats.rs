@@ -5,7 +5,8 @@
 //! [`crate::parallel::ParallelGemm`] reproduces them bit-exactly while
 //! partitioning the output across worker threads.
 
-use super::{gemm_dims, GemmEngine};
+use super::exact::exact_gemm_into;
+use super::{gemm_dims, Epilogue, GemmEngine, PreparedRhs};
 use crate::quant::{int_scale, quantize_int, to_bf16, to_fp8, Fp8Format, FP8_E4M3};
 use crate::{Result, Tensor};
 
@@ -33,10 +34,20 @@ impl GemmEngine for Bf16Engine {
         true
     }
 
-    fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        let qa = a.map(to_bf16);
-        let qb = b.map(to_bf16);
-        super::ExactEngine.gemm(&qa, &qb)
+    fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
+        PreparedRhs::from_raw(self.name(), b)
+    }
+
+    fn run_into(
+        &self,
+        a: &Tensor,
+        b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
+        out: &mut Vec<f32>,
+    ) -> Result<(usize, usize)> {
+        let (m, n) = exact_gemm_into(&a.map(to_bf16), &b.raw().map(to_bf16), out)?;
+        epilogue.apply(out, m, n)?;
+        Ok((m, n))
     }
 }
 
@@ -76,11 +87,23 @@ impl GemmEngine for Hfp8Engine {
         true
     }
 
-    fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
+        PreparedRhs::from_raw(self.name(), b)
+    }
+
+    fn run_into(
+        &self,
+        a: &Tensor,
+        b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
+        out: &mut Vec<f32>,
+    ) -> Result<(usize, usize)> {
         let f = self.format;
         let qa = a.map(|v| to_fp8(v, f));
-        let qb = b.map(|v| to_fp8(v, f));
-        super::ExactEngine.gemm(&qa, &qb)
+        let qb = b.raw().map(|v| to_fp8(v, f));
+        let (m, n) = exact_gemm_into(&qa, &qb, out)?;
+        epilogue.apply(out, m, n)?;
+        Ok((m, n))
     }
 }
 
@@ -137,7 +160,18 @@ impl GemmEngine for IntEngine {
         true
     }
 
-    fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
+        PreparedRhs::from_raw(self.name(), b)
+    }
+
+    fn run_into(
+        &self,
+        a: &Tensor,
+        b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
+        out: &mut Vec<f32>,
+    ) -> Result<(usize, usize)> {
+        let b = b.raw();
         let (m, k, n) = gemm_dims(a, b)?;
         let bits = self.bits;
 
@@ -167,7 +201,8 @@ impl GemmEngine for IntEngine {
             }
         }
 
-        let mut out = vec![0.0f32; m * n];
+        out.clear();
+        out.resize(m * n, 0.0);
         for i in 0..m {
             for j in 0..n {
                 let mut acc: i64 = 0;
@@ -177,7 +212,8 @@ impl GemmEngine for IntEngine {
                 out[i * n + j] = acc as f32 * a_scales[i] * b_scales[j];
             }
         }
-        Tensor::from_vec(out, &[m, n])
+        epilogue.apply(out, m, n)?;
+        Ok((m, n))
     }
 }
 

@@ -28,6 +28,7 @@ pub use stochastic::StochasticBfpEngine;
 
 use crate::parallel::{ParallelGemm, TileConfig};
 use crate::{Result, Tensor, TensorError};
+use std::sync::Arc;
 
 /// A matrix-multiplication backend.
 ///
@@ -51,15 +52,6 @@ pub trait GemmEngine: Send + Sync {
     /// Short human-readable name (used in experiment tables).
     fn name(&self) -> &'static str;
 
-    /// Computes `A (m×k) · B (k×n) -> C (m×n)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] unless both operands are
-    /// rank-2, and [`TensorError::DimMismatch`] when inner dimensions
-    /// differ. Engines may propagate their own arithmetic errors.
-    fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor>;
-
     /// Whether each output element depends only on its own row of `A`
     /// and column of `B`, so that partitioning the output over row bands
     /// and column tiles reproduces the serial result **bit-exactly**.
@@ -77,19 +69,18 @@ pub trait GemmEngine: Send + Sync {
     }
 
     /// Prepares a right-hand side matrix for repeated use with
-    /// [`GemmEngine::gemm_prepared`] — the one-time weight-preparation
-    /// step of every production GEMM library.
+    /// [`GemmEngine::run_into`] — the one-time weight-preparation step
+    /// of every production GEMM library, and the "program the
+    /// stationary operand once" half of the paper's tensor core.
     ///
-    /// Quantizing engines override this to do their B-side work
-    /// (quantize BFP groups, pre-convert RNS residues) exactly once; the
-    /// default implementation just validates and wraps the raw matrix,
-    /// so every engine supports the prepared API out of the box.
+    /// Quantizing engines do their B-side work here (quantize BFP
+    /// groups, pre-convert RNS residues) exactly once; engines with no
+    /// B-side state wrap the raw matrix with [`PreparedRhs::from_raw`].
     ///
-    /// **Contract:** for any engine, `gemm_prepared(a, &prepare(b)?)`
-    /// must be **bit-identical** to `gemm(a, b)` — preparation is a
-    /// caching transformation, never a numerical one. The determinism
-    /// regression tests enforce this for the exact, BFP and RNS-BFP
-    /// engines.
+    /// **Contract:** running against `prepare(b)?` — or against any
+    /// [`PreparedRhs::slice_cols`] view of it — is **bit-identical** to
+    /// running against a fresh preparation of the same columns:
+    /// preparation is a caching transformation, never a numerical one.
     ///
     /// ```
     /// use mirage_tensor::{Tensor, GemmEngine, engines::BfpEngine};
@@ -111,116 +102,78 @@ pub trait GemmEngine: Send + Sync {
     ///
     /// Returns [`TensorError::RankMismatch`] unless `b` is rank-2;
     /// engines may propagate their own preparation errors.
-    fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
-        PreparedRhs::from_raw(self.name(), b)
-    }
+    fn prepare(&self, b: &Tensor) -> Result<PreparedRhs>;
 
-    /// Derives a preparation for the column slice `[c0, c0 + width)` of
-    /// an already-prepared weight **by slicing the prepared buffers** —
-    /// no re-quantization. The tiled parallel driver uses this to hand
-    /// each column tile a view into the shared packed operand instead of
-    /// re-preparing every tile from raw floats.
-    ///
-    /// Returns `Ok(None)` when the engine cannot slice this preparation
-    /// (the default; also foreign state or a mismatched operating
-    /// point) — the caller then prepares the raw tile itself, so this
-    /// is purely an optimization hook, never a correctness one. When a
-    /// tile is returned, `gemm_prepared` against it must be
-    /// bit-identical to preparing the raw column slice from scratch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DimMismatch`] when the slice exceeds the
-    /// prepared matrix width.
-    fn prepare_tile(
-        &self,
-        whole: &PreparedRhs,
-        c0: usize,
-        width: usize,
-    ) -> Result<Option<PreparedRhs>> {
-        let _ = (whole, c0, width);
-        Ok(None)
-    }
-
-    /// Computes `A · B` against a [`PreparedRhs`], reusing its cached
-    /// B-side state instead of re-deriving it.
-    ///
-    /// Bit-identical to [`GemmEngine::gemm`] on the matrix the value was
-    /// prepared from (see the contract on [`GemmEngine::prepare`]). An
-    /// engine handed a preparation it does not recognize — produced by a
-    /// different engine or a differently-configured instance — falls
-    /// back to `gemm(a, b.raw())`, so results never depend on *which*
-    /// engine prepared the weight.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same shape-validation errors as [`GemmEngine::gemm`];
-    /// engines may propagate their own arithmetic errors.
-    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        self.gemm(a, b.raw())
-    }
-
-    /// [`GemmEngine::gemm_prepared`] with an out-parameter: writes the
-    /// `m × n` result row-major into `out` (cleared first) and returns
-    /// `(m, n)`. Serving loops pass a recycled buffer from a
-    /// [`crate::scratch::ActivationScratch`] so steady-state inference
+    /// Computes `A · B` against a prepared right-hand side, applies the
+    /// [`Epilogue`], writes the `m × n` result row-major into `out`
+    /// (cleared first) and returns `(m, n)` — the one entry point every
+    /// GEMM goes through. Serving loops pass a recycled buffer from a
+    /// [`crate::scratch::ActivationScratch`], so steady-state inference
     /// reuses the same allocations request after request.
     ///
-    /// The default implementation computes [`GemmEngine::gemm_prepared`]
-    /// and copies the result into `out`, preserving the caller's
-    /// allocation for reuse; engines whose kernels already materialize a
-    /// flat output buffer override this to write into `out` directly.
-    /// Either way the contents are **bit-identical** to
-    /// [`GemmEngine::gemm_prepared`].
+    /// An engine handed a preparation it does not recognize — produced
+    /// by a different engine or a differently-configured instance —
+    /// computes from [`PreparedRhs::raw`] instead, so results never
+    /// depend on *which* engine prepared the weight.
+    ///
+    /// **Epilogue contract:** the result equals running with
+    /// [`Epilogue::none`] and then [`Epilogue::apply`] — the epilogue is
+    /// elementwise and applied in a fixed order (bias, residual, ReLU)
+    /// with the same scalar expressions, so engines that fold it into
+    /// their kernel's output write change traversal, never arithmetic.
     ///
     /// # Errors
     ///
-    /// Returns the same errors as [`GemmEngine::gemm_prepared`].
+    /// Returns [`TensorError::RankMismatch`] unless `a` is rank-2,
+    /// [`TensorError::DimMismatch`] when the inner dimensions differ or
+    /// an epilogue operand disagrees with the output shape; engines may
+    /// propagate their own arithmetic errors.
+    fn run_into(
+        &self,
+        a: &Tensor,
+        b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
+        out: &mut Vec<f32>,
+    ) -> Result<(usize, usize)>;
+
+    /// Computes `A (m×k) · B (k×n) -> C (m×n)`: [`GemmEngine::prepare`]
+    /// then [`GemmEngine::run_into`]. Provided; not meant to be
+    /// overridden.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] unless both operands are
+    /// rank-2, and [`TensorError::DimMismatch`] when inner dimensions
+    /// differ. Engines may propagate their own arithmetic errors.
+    fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+        self.gemm_prepared(a, &self.prepare(b)?)
+    }
+
+    /// Computes `A · B` against a [`PreparedRhs`] into a fresh tensor.
+    /// Provided; not meant to be overridden.
+    ///
+    /// # Errors
+    ///
+    /// Returns the same errors as [`GemmEngine::run_into`].
+    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
+        let mut out = Vec::new();
+        let (m, n) = self.gemm_prepared_into(a, b, &mut out)?;
+        Tensor::from_vec(out, &[m, n])
+    }
+
+    /// [`GemmEngine::run_into`] with no epilogue. Provided; not meant to
+    /// be overridden.
+    ///
+    /// # Errors
+    ///
+    /// Returns the same errors as [`GemmEngine::run_into`].
     fn gemm_prepared_into(
         &self,
         a: &Tensor,
         b: &PreparedRhs,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
-        let y = self.gemm_prepared(a, b)?;
-        let (m, n) = (y.shape()[0], y.shape()[1]);
-        out.clear();
-        out.extend_from_slice(y.data());
-        Ok((m, n))
-    }
-
-    /// [`GemmEngine::gemm_prepared_into`] with a fused [`Epilogue`]:
-    /// the GEMM writes `out`, then bias/residual/ReLU run in **one**
-    /// pass over the still-hot buffer instead of separate
-    /// whole-activation sweeps. Compiled plans use this to collapse
-    /// `dense → relu` step pairs.
-    ///
-    /// **Bit-identity contract:** the result equals running
-    /// `gemm_prepared_into` and then each epilogue operation as its own
-    /// sweep — the epilogue is elementwise and applied in the same
-    /// fixed order (bias, residual, ReLU) with the same scalar
-    /// expressions, so fusion changes traversal, never arithmetic.
-    ///
-    /// The default implementation dispatches through
-    /// `Self::gemm_prepared_into` (so instrumented engines keep
-    /// counting one prepared GEMM per call) and then applies the
-    /// epilogue.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same errors as [`GemmEngine::gemm_prepared_into`],
-    /// plus [`TensorError::DimMismatch`] when an epilogue operand
-    /// disagrees with the output shape.
-    fn gemm_prepared_epilogue_into(
-        &self,
-        a: &Tensor,
-        b: &PreparedRhs,
-        epilogue: &Epilogue<'_>,
-        out: &mut Vec<f32>,
-    ) -> Result<(usize, usize)> {
-        let (m, n) = self.gemm_prepared_into(a, b, out)?;
-        epilogue.apply(out, m, n)?;
-        Ok((m, n))
+        self.run_into(a, b, &Epilogue::none(), out)
     }
 
     /// Lifts the engine onto the tiled multi-threaded driver with the
@@ -242,105 +195,35 @@ pub trait GemmEngine: Send + Sync {
     }
 }
 
-impl<E: GemmEngine + ?Sized> GemmEngine for std::sync::Arc<E> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
+macro_rules! forward_gemm_engine {
+    ($($ptr:ident),*) => {$(
+        impl<E: GemmEngine + ?Sized> GemmEngine for $ptr<E> {
+            fn name(&self) -> &'static str {
+                (**self).name()
+            }
 
-    fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        (**self).gemm(a, b)
-    }
+            fn tile_invariant(&self) -> bool {
+                (**self).tile_invariant()
+            }
 
-    fn tile_invariant(&self) -> bool {
-        (**self).tile_invariant()
-    }
+            fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
+                (**self).prepare(b)
+            }
 
-    fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
-        (**self).prepare(b)
-    }
-
-    fn prepare_tile(
-        &self,
-        whole: &PreparedRhs,
-        c0: usize,
-        width: usize,
-    ) -> Result<Option<PreparedRhs>> {
-        (**self).prepare_tile(whole, c0, width)
-    }
-
-    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        (**self).gemm_prepared(a, b)
-    }
-
-    fn gemm_prepared_into(
-        &self,
-        a: &Tensor,
-        b: &PreparedRhs,
-        out: &mut Vec<f32>,
-    ) -> Result<(usize, usize)> {
-        (**self).gemm_prepared_into(a, b, out)
-    }
-
-    fn gemm_prepared_epilogue_into(
-        &self,
-        a: &Tensor,
-        b: &PreparedRhs,
-        epilogue: &Epilogue<'_>,
-        out: &mut Vec<f32>,
-    ) -> Result<(usize, usize)> {
-        (**self).gemm_prepared_epilogue_into(a, b, epilogue, out)
-    }
+            fn run_into(
+                &self,
+                a: &Tensor,
+                b: &PreparedRhs,
+                epilogue: &Epilogue<'_>,
+                out: &mut Vec<f32>,
+            ) -> Result<(usize, usize)> {
+                (**self).run_into(a, b, epilogue, out)
+            }
+        }
+    )*};
 }
 
-impl<E: GemmEngine + ?Sized> GemmEngine for Box<E> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        (**self).gemm(a, b)
-    }
-
-    fn tile_invariant(&self) -> bool {
-        (**self).tile_invariant()
-    }
-
-    fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
-        (**self).prepare(b)
-    }
-
-    fn prepare_tile(
-        &self,
-        whole: &PreparedRhs,
-        c0: usize,
-        width: usize,
-    ) -> Result<Option<PreparedRhs>> {
-        (**self).prepare_tile(whole, c0, width)
-    }
-
-    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        (**self).gemm_prepared(a, b)
-    }
-
-    fn gemm_prepared_into(
-        &self,
-        a: &Tensor,
-        b: &PreparedRhs,
-        out: &mut Vec<f32>,
-    ) -> Result<(usize, usize)> {
-        (**self).gemm_prepared_into(a, b, out)
-    }
-
-    fn gemm_prepared_epilogue_into(
-        &self,
-        a: &Tensor,
-        b: &PreparedRhs,
-        epilogue: &Epilogue<'_>,
-        out: &mut Vec<f32>,
-    ) -> Result<(usize, usize)> {
-        (**self).gemm_prepared_epilogue_into(a, b, epilogue, out)
-    }
-}
+forward_gemm_engine!(Arc, Box);
 
 /// Validates GEMM operand shapes, returning `(m, k, n)`.
 pub(crate) fn gemm_dims(a: &Tensor, b: &Tensor) -> Result<(usize, usize, usize)> {
@@ -398,14 +281,23 @@ mod tests {
             fn name(&self) -> &'static str {
                 "unaudited"
             }
-            fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-                ExactEngine.gemm(a, b)
+            fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
+                ExactEngine.prepare(b)
+            }
+            fn run_into(
+                &self,
+                a: &Tensor,
+                b: &PreparedRhs,
+                epilogue: &Epilogue<'_>,
+                out: &mut Vec<f32>,
+            ) -> Result<(usize, usize)> {
+                ExactEngine.run_into(a, b, epilogue, out)
             }
         }
         assert!(!Unaudited.tile_invariant());
         // Audited engines opt in, and smart pointers delegate.
         assert!(ExactEngine.tile_invariant());
         assert!(Box::new(ExactEngine).tile_invariant());
-        assert!(std::sync::Arc::new(ExactEngine).tile_invariant());
+        assert!(Arc::new(ExactEngine).tile_invariant());
     }
 }

@@ -7,8 +7,9 @@
 //! driver, once per row band on top of that. [`PreparedRhs`] makes
 //! weight preparation a one-time cost: [`GemmEngine::prepare`] quantizes
 //! (and, for RNS engines, residue-converts) the weight once, and
-//! [`GemmEngine::gemm_prepared`] reuses that state on every subsequent
-//! call, bit-identically to the unprepared path.
+//! [`GemmEngine::run_into`] reuses that state on every subsequent call,
+//! bit-identically to preparing afresh. Column tiles and model shards
+//! are [`PreparedRhs::slice_cols`] views of the same shared state.
 
 #[cfg(doc)]
 use crate::engines::GemmEngine;
@@ -18,16 +19,20 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A right-hand side matrix prepared once by [`GemmEngine::prepare`]
-/// for repeated use with [`GemmEngine::gemm_prepared`].
+/// for repeated use with [`GemmEngine::run_into`].
 ///
 /// The value is type-erased so `dyn GemmEngine` consumers (training
 /// `Engines`, boxed engine stacks) can carry prepared weights without
 /// knowing which engine produced them. It always retains the raw `f32`
 /// matrix, so *any* engine can consume *any* `PreparedRhs`: an engine
 /// that does not recognize the attached state (different engine,
-/// different quantization config) transparently falls back to its plain
-/// [`GemmEngine::gemm`] on the raw matrix — worst case the preparation
-/// speedup is lost, never correctness.
+/// different quantization config) computes from the raw matrix instead —
+/// worst case the preparation speedup is lost, never correctness.
+///
+/// A value may be a **column view** ([`PreparedRhs::slice_cols`]): it
+/// then covers columns `[col_start, col_start + n)` of the attached
+/// state, which stays shared through its [`Arc`], while
+/// [`PreparedRhs::raw`] holds just the view's own columns.
 ///
 /// Cloning is cheap for the engine-specific state (shared via [`Arc`])
 /// but clones the raw matrix; share a `PreparedRhs` by reference (or
@@ -38,12 +43,13 @@ pub struct PreparedRhs {
     raw: Tensor,
     engine: &'static str,
     state: Option<Arc<dyn Any + Send + Sync>>,
+    col_start: usize,
 }
 
 impl PreparedRhs {
     /// Wraps a raw rank-2 matrix with no engine-specific state — the
-    /// default preparation, which [`GemmEngine::gemm_prepared`]'s default
-    /// implementation feeds straight back to [`GemmEngine::gemm`].
+    /// whole preparation of engines that keep no B-side state, and the
+    /// starting point quantizing engines attach their state to.
     ///
     /// # Errors
     ///
@@ -59,6 +65,7 @@ impl PreparedRhs {
             raw: b.clone(),
             engine,
             state: None,
+            col_start: 0,
         })
     }
 
@@ -90,27 +97,47 @@ impl PreparedRhs {
         self.engine
     }
 
-    /// Copies the raw column slice `[c0, c0 + width)` into a fresh
-    /// `k × width` tensor — the raw half of a column-tile preparation
-    /// derived by [`GemmEngine::prepare_tile`].
+    /// First column of the attached state this value covers: `0` for a
+    /// fresh preparation, the offset into the shared state for a
+    /// [`PreparedRhs::slice_cols`] view. Engines index their packed
+    /// B-side buffers from here.
+    pub fn col_start(&self) -> usize {
+        self.col_start
+    }
+
+    /// A view of columns `[c0, c0 + width)`: shares the attached state
+    /// through its [`Arc`] (no re-quantization, no copy of packed
+    /// buffers) and copies only the raw columns, which engines need for
+    /// the foreign-preparation fallback. Running against the view is
+    /// bit-identical to preparing the raw column slice from scratch for
+    /// every tile-invariant engine. The tiled parallel driver and
+    /// model-level sharding cut their column tiles with this.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::DimMismatch`] when the slice exceeds the
     /// matrix width.
-    pub fn slice_raw_cols(&self, c0: usize, width: usize) -> Result<Tensor> {
+    pub fn slice_cols(&self, c0: usize, width: usize) -> Result<Self> {
         let (k, n) = (self.k(), self.n());
-        if c0 + width > n {
-            return Err(TensorError::DimMismatch {
-                left: c0 + width,
-                right: n,
-            });
-        }
+        let end =
+            c0.checked_add(width)
+                .filter(|&end| end <= n)
+                .ok_or(TensorError::DimMismatch {
+                    left: c0.saturating_add(width),
+                    right: n,
+                })?;
         let mut data = Vec::with_capacity(k * width);
-        for row in self.raw.data().chunks(n.max(1)) {
-            data.extend_from_slice(&row[c0..c0 + width]);
+        if width > 0 {
+            for row in self.raw.data().chunks_exact(n) {
+                data.extend_from_slice(&row[c0..end]);
+            }
         }
-        Tensor::from_vec(data, &[k, width])
+        Ok(PreparedRhs {
+            raw: Tensor::from_vec(data, &[k, width])?,
+            engine: self.engine,
+            state: self.state.clone(),
+            col_start: self.col_start + c0,
+        })
     }
 
     /// Downcasts the attached state to `S` **iff** this value was
@@ -118,7 +145,9 @@ impl PreparedRhs {
     /// recognize their own preparations and fall back to the raw matrix
     /// otherwise (callers still verify config equality themselves —
     /// two instances of one engine type can differ in quantization
-    /// parameters).
+    /// parameters). Column-indexed state is shared by every
+    /// [`PreparedRhs::slice_cols`] view, so readers offset it by
+    /// [`PreparedRhs::col_start`].
     pub fn state_for<S: Any + Send + Sync>(&self, engine: &str) -> Option<&S> {
         if self.engine != engine {
             return None;
@@ -133,6 +162,7 @@ impl fmt::Debug for PreparedRhs {
             .field("engine", &self.engine)
             .field("k", &self.k())
             .field("n", &self.n())
+            .field("col_start", &self.col_start)
             .field("has_state", &self.state.is_some())
             .finish()
     }
@@ -141,8 +171,9 @@ impl fmt::Debug for PreparedRhs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::{BfpEngine, ExactEngine, GemmEngine};
+    use crate::engines::{BfpEngine, ExactEngine, GemmEngine, RnsBfpEngine};
     use mirage_bfp::BfpConfig;
+    use rand::SeedableRng;
 
     #[test]
     fn from_raw_validates_rank() {
@@ -202,5 +233,69 @@ mod tests {
             s.contains("mirage-bfp") && s.contains("has_state: true"),
             "{s}"
         );
+    }
+
+    #[test]
+    fn slice_cols_rejects_out_of_range_and_handles_zero_width() {
+        let engine = BfpEngine::new(BfpConfig::mirage_default());
+        let b = Tensor::from_vec((0..12).map(|v| v as f32).collect(), &[3, 4]).unwrap();
+        let p = engine.prepare(&b).unwrap();
+        assert!(matches!(
+            p.slice_cols(3, 2),
+            Err(TensorError::DimMismatch { left: 5, right: 4 })
+        ));
+        assert!(matches!(
+            p.slice_cols(usize::MAX, 2),
+            Err(TensorError::DimMismatch { .. })
+        ));
+        let mid = p.slice_cols(1, 2).unwrap();
+        assert_eq!(mid.raw().data(), &[1.0, 2.0, 5.0, 6.0, 9.0, 10.0]);
+        assert_eq!((mid.col_start(), mid.engine()), (1, "mirage-bfp"));
+        // Zero-width views — at either edge, or of a zero-width matrix —
+        // are well-formed and run to an `m × 0` output.
+        for (c0, whole) in [(0, &p), (4, &p)] {
+            let empty = whole.slice_cols(c0, 0).unwrap();
+            assert_eq!((empty.k(), empty.n(), empty.col_start()), (3, 0, c0));
+            let y = engine
+                .gemm_prepared(&Tensor::ones(&[2, 3]), &empty)
+                .unwrap();
+            assert_eq!(y.shape(), &[2, 0]);
+        }
+        let narrow = ExactEngine.prepare(&Tensor::zeros(&[3, 0])).unwrap();
+        assert_eq!(narrow.slice_cols(0, 0).unwrap().n(), 0);
+        assert!(narrow.slice_cols(0, 1).is_err());
+    }
+
+    #[test]
+    fn a_view_of_a_foreign_preparation_falls_back_to_its_raw_columns() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let a = Tensor::randn(&[5, 40], 1.0, &mut rng);
+        let b = Tensor::randn(&[40, 12], 1.0, &mut rng);
+        // Prepared at another BFP operating point: every consumer below
+        // must ignore the attached state and use the view's raw columns.
+        let foreign = BfpEngine::new(BfpConfig::new(8, 16).unwrap())
+            .prepare(&b)
+            .unwrap();
+        let view = foreign.slice_cols(3, 6).unwrap();
+        let cfg = BfpConfig::mirage_default();
+        let consumers: Vec<Box<dyn GemmEngine>> = vec![
+            Box::new(ExactEngine),
+            Box::new(BfpEngine::new(cfg)),
+            Box::new(RnsBfpEngine::with_min_special_set(cfg).unwrap()),
+        ];
+        for engine in consumers {
+            let got = engine.gemm_prepared(&a, &view).unwrap();
+            let full = engine.gemm(&a, &b).unwrap();
+            for i in 0..5 {
+                for j in 0..6 {
+                    assert_eq!(
+                        got.data()[i * 6 + j].to_bits(),
+                        full.data()[i * 12 + 3 + j].to_bits(),
+                        "{} at ({i}, {j})",
+                        engine.name()
+                    );
+                }
+            }
+        }
     }
 }

@@ -52,7 +52,7 @@
 
 use super::bfp::BfpEngine;
 use super::rns_bfp::PackedRnsMatrix;
-use super::{gemm_dims, GemmEngine, PreparedRhs};
+use super::{gemm_dims, Epilogue, GemmEngine, PreparedRhs};
 use crate::faults::FaultInjector;
 use crate::{Result, Tensor, TensorError};
 use mirage_bfp::{pow2, BfpConfig};
@@ -61,15 +61,13 @@ use mirage_rns::{ModuliSet, RedundantRns, RnsError};
 use std::sync::Arc;
 
 /// Prepared B-side state: columns quantized and forward-converted over
-/// the **full** (base + redundant) moduli set. Same tiling story as the
-/// unprotected `PreparedRnsCols`.
+/// the **full** (base + redundant) moduli set. Column views share it
+/// like the unprotected `PreparedRnsCols`.
 #[derive(Debug)]
 struct PreparedProtectedCols {
     config: BfpConfig,
     full: ModuliSet,
-    packed: Arc<PackedRnsMatrix>,
-    col_start: usize,
-    col_count: usize,
+    packed: PackedRnsMatrix,
 }
 
 /// The RRNS-protected Mirage numerical path: BFP mantissae → forward
@@ -261,7 +259,7 @@ impl ProtectedRnsBfpEngine {
     /// groups), same accumulation expression — with the redundancy
     /// check spliced between the modular dots and the scale
     /// recombination. Returns `m`.
-    fn gemm_with_packed_into(
+    fn run_packed_into(
         &self,
         a: &Tensor,
         cols: &PackedRnsMatrix,
@@ -332,19 +330,6 @@ impl ProtectedRnsBfpEngine {
         }
         Ok(m)
     }
-
-    /// Allocating wrapper over the kernel.
-    fn gemm_with_packed(
-        &self,
-        a: &Tensor,
-        cols: &PackedRnsMatrix,
-        col_start: usize,
-        n: usize,
-    ) -> Result<Tensor> {
-        let mut out = Vec::new();
-        let m = self.gemm_with_packed_into(a, cols, col_start, n, &mut out)?;
-        Tensor::from_vec(out, &[m, n])
-    }
 }
 
 /// The `count` smallest primes strictly greater than `floor` (trial
@@ -391,100 +376,50 @@ impl GemmEngine for ProtectedRnsBfpEngine {
         true
     }
 
-    fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        let (_m, _k, n) = gemm_dims(a, b)?;
-        let cols = self.pack_cols(b)?;
-        self.gemm_with_packed(a, &cols, 0, n)
-    }
-
     /// Quantizes and forward-converts the columns of `B` once over the
     /// full base + redundant set: repeated inference pays neither the
     /// quantizer nor the forward converter for the weights, redundant
     /// channels included.
     fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
-        let prepared = PreparedRhs::from_raw(self.name(), b)?;
-        let n = prepared.n();
         let packed = self.pack_cols(b)?;
-        Ok(prepared.with_state(Arc::new(PreparedProtectedCols {
-            config: self.config,
-            full: self.rrns.full_set().clone(),
-            packed: Arc::new(packed),
-            col_start: 0,
-            col_count: n,
-        })))
+        Ok(
+            PreparedRhs::from_raw(self.name(), b)?.with_state(Arc::new(PreparedProtectedCols {
+                config: self.config,
+                full: self.rrns.full_set().clone(),
+                packed,
+            })),
+        )
     }
 
-    /// Slices a column tile out of an existing preparation, sharing the
-    /// residue planes through the `Arc`.
-    fn prepare_tile(
-        &self,
-        whole: &PreparedRhs,
-        c0: usize,
-        width: usize,
-    ) -> Result<Option<PreparedRhs>> {
-        let Some(state) = whole.state_for::<PreparedProtectedCols>(self.name()) else {
-            return Ok(None);
-        };
-        if state.config != self.config
-            || state.full != *self.rrns.full_set()
-            || c0 + width > state.col_count
-        {
-            return Ok(None);
-        }
-        let raw = whole.slice_raw_cols(c0, width)?;
-        Ok(Some(PreparedRhs::from_raw(self.name(), &raw)?.with_state(
-            Arc::new(PreparedProtectedCols {
-                config: state.config,
-                full: state.full.clone(),
-                packed: Arc::clone(&state.packed),
-                col_start: state.col_start + c0,
-                col_count: width,
-            }),
-        )))
-    }
-
-    /// Reuses pre-converted weight planes; falls back to
-    /// [`ProtectedRnsBfpEngine::gemm`] on foreign preparations.
-    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        let (_m, _k, n) = gemm_dims(a, b.raw())?;
-        match b.state_for::<PreparedProtectedCols>(self.name()) {
-            Some(state)
-                if state.config == self.config
-                    && state.full == *self.rrns.full_set()
-                    && state.col_count == n =>
-            {
-                self.gemm_with_packed(a, &state.packed, state.col_start, n)
-            }
-            _ => self.gemm(a, b.raw()),
-        }
-    }
-
-    /// The protected kernel writes straight into the caller's buffer —
-    /// bit-identical to [`ProtectedRnsBfpEngine::gemm_prepared`].
-    fn gemm_prepared_into(
+    /// Reuses pre-converted weight planes; foreign preparations are
+    /// forward-converted from the raw matrix. The epilogue runs as one
+    /// pass after the checked GEMM, so a refused (uncorrectable) call
+    /// never reaches it.
+    fn run_into(
         &self,
         a: &Tensor,
         b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
         let (_m, _k, n) = gemm_dims(a, b.raw())?;
-        match b.state_for::<PreparedProtectedCols>(self.name()) {
+        let fresh;
+        let (cols, col_start) = match b.state_for::<PreparedProtectedCols>(self.name()) {
             Some(state)
                 if state.config == self.config
                     && state.full == *self.rrns.full_set()
-                    && state.col_count == n =>
+                    && b.col_start() + n <= state.packed.rows =>
             {
-                let m = self.gemm_with_packed_into(a, &state.packed, state.col_start, n, out)?;
-                Ok((m, n))
+                (&state.packed, b.col_start())
             }
             _ => {
-                let y = self.gemm(a, b.raw())?;
-                let m = y.shape()[0];
-                out.clear();
-                out.extend_from_slice(y.data());
-                Ok((m, n))
+                fresh = self.pack_cols(b.raw())?;
+                (&fresh, 0)
             }
-        }
+        };
+        let m = self.run_packed_into(a, cols, col_start, n, out)?;
+        epilogue.apply(out, m, n)?;
+        Ok((m, n))
     }
 }
 
@@ -569,8 +504,8 @@ mod tests {
         assert_eq!(out, direct.data());
         // Column tiles sliced from the shared preparation concatenate
         // back bit-identically (tile_invariant contract).
-        let left = protected.prepare_tile(&prepared, 0, 5).unwrap().unwrap();
-        let right = protected.prepare_tile(&prepared, 5, 3).unwrap().unwrap();
+        let left = prepared.slice_cols(0, 5).unwrap();
+        let right = prepared.slice_cols(5, 3).unwrap();
         let yl = protected.gemm_prepared(&a, &left).unwrap();
         let yr = protected.gemm_prepared(&a, &right).unwrap();
         for i in 0..6 {

@@ -1,7 +1,7 @@
 //! BFP GEMM routed bit-exactly through RNS residues.
 
 use super::bfp::BfpEngine;
-use super::{gemm_dims, GemmEngine, PreparedRhs};
+use super::{gemm_dims, Epilogue, GemmEngine, PreparedRhs};
 use crate::{Result, Tensor, TensorError};
 use mirage_bfp::{pow2, BfpConfig, PackedBfpMatrix, SimdPolicy, SimdTier};
 use mirage_rns::convert::{CrtConverter, ReverseConverter};
@@ -61,16 +61,14 @@ impl PackedRnsMatrix {
 
 /// Prepared B-side state: the columns of `B` quantized and pushed
 /// through forward conversion into packed residue planes, tagged with
-/// the operating point and moduli set that produced them.
-/// `col_start`/`col_count` select a column range of the shared planes
-/// (see [`super::bfp::PreparedBfpCols`] for the tiling story).
+/// the operating point and moduli set that produced them. Column views
+/// ([`PreparedRhs::slice_cols`]) share the planes and select their
+/// range with [`PreparedRhs::col_start`].
 #[derive(Debug)]
 struct PreparedRnsCols {
     config: BfpConfig,
     moduli: ModuliSet,
-    packed: Arc<PackedRnsMatrix>,
-    col_start: usize,
-    col_count: usize,
+    packed: PackedRnsMatrix,
 }
 
 /// The full Mirage numerical path: BFP mantissae → forward conversion →
@@ -175,28 +173,14 @@ impl RnsBfpEngine {
 
     /// The shared flat GEMM kernel: quantizes and forward-converts the
     /// rows of `A` into packed residue planes, then dots them against an
-    /// already-converted column range of `B`. Every step below the
-    /// quantizer is exact integer arithmetic, so pre-converting either
-    /// side cannot change a single bit. Shapes are validated once up
-    /// front; the per-group work is one slice dot per modulus channel,
-    /// one trusted CRT reverse conversion into a hoisted scratch vector,
-    /// and one power-of-two scale — nothing in the loop allocates.
-    fn gemm_with_packed(
-        &self,
-        a: &Tensor,
-        cols: &PackedRnsMatrix,
-        col_start: usize,
-        n: usize,
-    ) -> Result<Tensor> {
-        let mut out = Vec::new();
-        let m = self.gemm_with_packed_into(a, cols, col_start, n, &mut out)?;
-        Tensor::from_vec(out, &[m, n])
-    }
-
-    /// [`RnsBfpEngine::gemm_with_packed`] writing into a caller buffer —
-    /// the allocation-free entry point behind
-    /// [`GemmEngine::gemm_prepared_into`]. Returns `m`.
-    fn gemm_with_packed_into(
+    /// already-converted column range of `B`, writing into a caller
+    /// buffer. Every step below the quantizer is exact integer
+    /// arithmetic, so pre-converting either side cannot change a single
+    /// bit. Shapes are validated once up front; the per-group work is
+    /// one slice dot per modulus channel, one trusted CRT reverse
+    /// conversion into a hoisted scratch vector, and one power-of-two
+    /// scale — nothing in the loop allocates. Returns `m`.
+    fn run_packed_into(
         &self,
         a: &Tensor,
         cols: &PackedRnsMatrix,
@@ -496,104 +480,50 @@ impl GemmEngine for RnsBfpEngine {
         true
     }
 
-    fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        let (_m, _k, n) = gemm_dims(a, b)?;
-        // Forward conversion of the B side (in hardware: shift-based,
-        // per §IV-B); the A side converts inside the shared kernel.
-        let cols = self.pack_cols(b)?;
-        self.gemm_with_packed(a, &cols, 0, n)
-    }
-
     /// Quantizes **and** forward-converts the columns of `B` once: the
     /// prepared state holds packed residue planes, so repeated inference
     /// pays neither the quantizer nor the forward converter for the
     /// weights.
     fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
-        let prepared = PreparedRhs::from_raw(self.name(), b)?;
-        let n = prepared.n();
         let packed = self.pack_cols(b)?;
-        Ok(prepared.with_state(Arc::new(PreparedRnsCols {
-            config: self.config,
-            moduli: self.moduli.clone(),
-            packed: Arc::new(packed),
-            col_start: 0,
-            col_count: n,
-        })))
+        Ok(
+            PreparedRhs::from_raw(self.name(), b)?.with_state(Arc::new(PreparedRnsCols {
+                config: self.config,
+                moduli: self.moduli.clone(),
+                packed,
+            })),
+        )
     }
 
-    /// Slices a column tile out of an existing preparation: the tile
-    /// shares the residue planes through the `Arc`, so the tiled
-    /// parallel driver never re-converts B per column tile.
-    fn prepare_tile(
-        &self,
-        whole: &PreparedRhs,
-        c0: usize,
-        width: usize,
-    ) -> Result<Option<PreparedRhs>> {
-        let Some(state) = whole.state_for::<PreparedRnsCols>(self.name()) else {
-            return Ok(None);
-        };
-        if state.config != self.config
-            || state.moduli != self.moduli
-            || c0 + width > state.col_count
-        {
-            return Ok(None);
-        }
-        let raw = whole.slice_raw_cols(c0, width)?;
-        Ok(Some(PreparedRhs::from_raw(self.name(), &raw)?.with_state(
-            Arc::new(PreparedRnsCols {
-                config: state.config,
-                moduli: state.moduli.clone(),
-                packed: Arc::clone(&state.packed),
-                col_start: state.col_start + c0,
-                col_count: width,
-            }),
-        )))
-    }
-
-    /// Reuses pre-converted weight residue planes. Falls back to
-    /// [`RnsBfpEngine::gemm`] on preparations from other engines, other
-    /// operating points, or other moduli sets.
-    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        let (_m, _k, n) = gemm_dims(a, b.raw())?;
-        match b.state_for::<PreparedRnsCols>(self.name()) {
-            Some(state)
-                if state.config == self.config
-                    && state.moduli == self.moduli
-                    && state.col_count == n =>
-            {
-                self.gemm_with_packed(a, &state.packed, state.col_start, n)
-            }
-            _ => self.gemm(a, b.raw()),
-        }
-    }
-
-    /// The flat RNS kernel writes straight into the caller's buffer —
-    /// bit-identical to [`RnsBfpEngine::gemm_prepared`].
-    fn gemm_prepared_into(
+    /// Reuses pre-converted weight residue planes; preparations from
+    /// other engines, other operating points or other moduli sets are
+    /// forward-converted from the raw matrix (in hardware: shift-based,
+    /// per §IV-B). The epilogue runs as one pass after the GEMM.
+    fn run_into(
         &self,
         a: &Tensor,
         b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
         let (_m, _k, n) = gemm_dims(a, b.raw())?;
-        match b.state_for::<PreparedRnsCols>(self.name()) {
+        let fresh;
+        let (cols, col_start) = match b.state_for::<PreparedRnsCols>(self.name()) {
             Some(state)
                 if state.config == self.config
                     && state.moduli == self.moduli
-                    && state.col_count == n =>
+                    && b.col_start() + n <= state.packed.rows =>
             {
-                let m = self.gemm_with_packed_into(a, &state.packed, state.col_start, n, out)?;
-                Ok((m, n))
+                (&state.packed, b.col_start())
             }
             _ => {
-                let y = self.gemm(a, b.raw())?;
-                let m = y.shape()[0];
-                out.clear();
-                out.extend_from_slice(y.data());
-                Ok((m, n))
+                fresh = self.pack_cols(b.raw())?;
+                (&fresh, 0)
             }
-        }
+        };
+        let m = self.run_packed_into(a, cols, col_start, n, out)?;
+        epilogue.apply(out, m, n)?;
+        Ok((m, n))
     }
 }
 
@@ -674,7 +604,7 @@ mod tests {
     }
 
     #[test]
-    fn prepare_tile_slices_share_the_residue_planes() {
+    fn slice_cols_views_share_the_residue_planes() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
         let engine = RnsBfpEngine::with_min_special_set(BfpConfig::mirage_default()).unwrap();
         let b = Tensor::randn(&[33, 14], 1.0, &mut rng);
@@ -682,7 +612,7 @@ mod tests {
         let a = Tensor::randn(&[4, 33], 1.0, &mut rng);
         let full = engine.gemm(&a, &b).unwrap();
         for (c0, width) in [(0, 14), (3, 8), (9, 5)] {
-            let tile = engine.prepare_tile(&whole, c0, width).unwrap().unwrap();
+            let tile = whole.slice_cols(c0, width).unwrap();
             let got = engine.gemm_prepared(&a, &tile).unwrap();
             for i in 0..4 {
                 for j in 0..width {
@@ -693,7 +623,7 @@ mod tests {
                 }
             }
         }
-        assert!(engine.prepare_tile(&whole, 10, 6).unwrap().is_none());
+        assert!(whole.slice_cols(10, 6).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! FMAC-style BFP GEMM with stochastic rounding.
 
-use super::{gemm_dims, GemmEngine};
+use super::{gemm_dims, Epilogue, GemmEngine, PreparedRhs};
 use crate::{Result, Tensor};
 use mirage_bfp::{BfpBlock, BfpConfig};
 
@@ -80,7 +80,18 @@ impl GemmEngine for StochasticBfpEngine {
         false
     }
 
-    fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
+        PreparedRhs::from_raw(self.name(), b)
+    }
+
+    fn run_into(
+        &self,
+        a: &Tensor,
+        b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
+        out: &mut Vec<f32>,
+    ) -> Result<(usize, usize)> {
+        let b = b.raw();
         let (m, k, n) = gemm_dims(a, b)?;
         let g = self.config.group_size();
         let bt = b.transpose2d()?;
@@ -102,7 +113,8 @@ impl GemmEngine for StochasticBfpEngine {
         let a_rows = quantize_matrix(a, 0xa);
         let b_cols = quantize_matrix(&bt, 0xb);
 
-        let mut out = vec![0.0f32; m * n];
+        out.clear();
+        out.resize(m * n, 0.0);
         let _ = k;
         for (i, arow) in a_rows.iter().enumerate() {
             for (j, bcol) in b_cols.iter().enumerate() {
@@ -113,7 +125,8 @@ impl GemmEngine for StochasticBfpEngine {
                 out[i * n + j] = acc;
             }
         }
-        Tensor::from_vec(out, &[m, n])
+        epilogue.apply(out, m, n)?;
+        Ok((m, n))
     }
 }
 

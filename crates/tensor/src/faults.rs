@@ -43,7 +43,7 @@
 //! consumes no draws at all, so a disabled injector is free and cannot
 //! perturb the draw stream.
 
-use crate::engines::{GemmEngine, PreparedRhs};
+use crate::engines::{Epilogue, GemmEngine, PreparedRhs};
 use crate::{Result, Tensor};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -460,12 +460,6 @@ impl<E: GemmEngine> FaultyEngine<E> {
     pub fn injector(&self) -> &Arc<FaultInjector> {
         &self.injector
     }
-
-    /// Applies output corruption to an owned tensor.
-    fn corrupt_tensor(&self, mut y: Tensor) -> Tensor {
-        self.injector.corrupt_output(y.data_mut());
-        y
-    }
 }
 
 impl<E: GemmEngine> GemmEngine for FaultyEngine<E> {
@@ -482,10 +476,6 @@ impl<E: GemmEngine> GemmEngine for FaultyEngine<E> {
         self.inner.tile_invariant()
     }
 
-    fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        Ok(self.corrupt_tensor(self.inner.gemm(a, b)?))
-    }
-
     /// Prepares with the inner engine: preparation is weight-side work
     /// and weights are never corrupted (the §VI-E error model corrupts
     /// analog compute, not stored operands).
@@ -493,28 +483,21 @@ impl<E: GemmEngine> GemmEngine for FaultyEngine<E> {
         self.inner.prepare(b)
     }
 
-    fn prepare_tile(
-        &self,
-        whole: &PreparedRhs,
-        c0: usize,
-        width: usize,
-    ) -> Result<Option<PreparedRhs>> {
-        self.inner.prepare_tile(whole, c0, width)
-    }
-
-    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        Ok(self.corrupt_tensor(self.inner.gemm_prepared(a, b)?))
-    }
-
-    fn gemm_prepared_into(
+    /// The inner GEMM with **no** epilogue, then output corruption,
+    /// then the epilogue: faults land on the raw accumulator outputs —
+    /// what the analog datapath produces — and the digital tail (bias,
+    /// residual, ReLU) runs on whatever arrived.
+    fn run_into(
         &self,
         a: &Tensor,
         b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
-        let dims = self.inner.gemm_prepared_into(a, b, out)?;
+        let (m, n) = self.inner.gemm_prepared_into(a, b, out)?;
         self.injector.corrupt_output(out);
-        Ok(dims)
+        epilogue.apply(out, m, n)?;
+        Ok((m, n))
     }
 }
 
@@ -680,5 +663,33 @@ mod tests {
         );
         let mut empty: [f32; 0] = [];
         assert_eq!(injector.corrupt_output(&mut empty), 0);
+    }
+
+    #[test]
+    fn armed_epilogue_runs_after_corrupting_the_bare_output() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(47);
+        let a = Tensor::randn(&[6, 32], 1.0, &mut rng);
+        let b = Tensor::randn(&[32, 10], 1.0, &mut rng);
+        let inner = BfpEngine::new(BfpConfig::mirage_default());
+        let prepared = inner.prepare(&b).unwrap();
+        let bias: Vec<f32> = (0..10).map(|j| j as f32 * 0.2 - 1.0).collect();
+        let epilogue = Epilogue::none().with_bias(&bias).with_relu();
+
+        let faulty = FaultyEngine::new(inner, armed(77, 0.1));
+        let mut got = Vec::new();
+        assert_eq!(
+            faulty.run_into(&a, &prepared, &epilogue, &mut got).unwrap(),
+            (6, 10)
+        );
+
+        // Same seed, same draws: corrupt the bare GEMM, then the tail.
+        let replay = armed(77, 0.1);
+        let mut want = Vec::new();
+        inner.gemm_prepared_into(&a, &prepared, &mut want).unwrap();
+        assert!(replay.corrupt_output(&mut want) > 0, "the rate must fire");
+        epilogue.apply(&mut want, 6, 10).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(faulty.injector().draws(), replay.draws());
     }
 }

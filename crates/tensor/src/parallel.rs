@@ -20,14 +20,6 @@
 //! `tile_invariant() == false` and transparently fall back to their
 //! serial path.
 //!
-//! Setting [`TileConfig::tile_k`] to a nonzero value additionally blocks
-//! the reduction *within* a worker for cache locality. This is opt-in
-//! and excluded from the bit-identity guarantee: it reorders
-//! floating-point accumulation, and for block-quantized engines (BFP
-//! family) a `tile_k` that is not a multiple of the group size also
-//! moves quantization group boundaries — an accuracy change, not just
-//! a rounding one.
-//!
 //! Nested drivers are safe: a `ParallelGemm` invoked from inside another
 //! `ParallelGemm` worker detects the nesting through a thread-local flag
 //! and runs its serial path, so wrapping twice (or re-wrapping the
@@ -35,12 +27,12 @@
 //!
 //! # Weight preparation
 //!
-//! The driver prepares the right-hand side **once per call** via
-//! [`GemmEngine::prepare`] and hands every row band the same
-//! [`PreparedRhs`] (or, with column tiling, one prepared value per
-//! column tile) — quantizing engines no longer re-run their B-side
-//! quantization per band. [`ParallelGemm::gemm_prepared`] goes further
-//! and reuses a caller-supplied preparation across *calls*, and
+//! The driver runs against one [`PreparedRhs`]: every row band shares
+//! it, and with column tiling each tile is a
+//! [`PreparedRhs::slice_cols`] view of it — quantizing engines never
+//! re-run their B-side quantization per band or per tile. A raw
+//! [`GemmEngine::gemm`] prepares once per call, a caller-supplied
+//! preparation is reused across *calls*, and
 //! [`ParallelGemm::gemm_batch`] prepares once per batch.
 //!
 //! # Thread-count knob
@@ -54,9 +46,8 @@
 //! quantum of the problem, and exactly one (the serial path) below the
 //! threshold — so parallelism never loses to its own overhead.
 
-use crate::engines::{gemm_dims, GemmEngine, PreparedRhs};
-use crate::{Result, Tensor, TensorError};
-use mirage_bfp::BfpConfig;
+use crate::engines::{gemm_dims, Epilogue, GemmEngine, PreparedRhs};
+use crate::{Result, Tensor};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -76,7 +67,6 @@ pub const MIN_PARALLEL_WORK: usize = 32 * 32 * 32;
 /// `tile_m = 0` derives a row-band height giving each worker one equal
 /// band (amortizing per-band operand staging),
 /// `tile_n = 0` keeps the full output width in one column tile,
-/// `tile_k = 0` never splits the reduction (required for bit-identity),
 /// and `threads = 0` resolves via [`THREADS_ENV`] /
 /// [`std::thread::available_parallelism`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,12 +75,6 @@ pub struct TileConfig {
     pub tile_m: usize,
     /// Output column-tile width per task (`0` = full width).
     pub tile_n: usize,
-    /// Reduction block length (`0` = never split `k`). Nonzero values
-    /// trade the bit-identity guarantee for cache locality: FP32
-    /// accumulation is reordered, and block-quantized engines re-derive
-    /// quantization groups per block unless `tile_k` is a multiple of
-    /// the group size.
-    pub tile_k: usize,
     /// Worker count (`0` = auto).
     pub threads: usize,
 }
@@ -101,7 +85,6 @@ impl TileConfig {
         TileConfig {
             tile_m: 0,
             tile_n: 0,
-            tile_k: 0,
             threads: 0,
         }
     }
@@ -112,7 +95,6 @@ impl TileConfig {
         TileConfig {
             tile_m: 0,
             tile_n: 0,
-            tile_k: 0,
             threads: 1,
         }
     }
@@ -141,51 +123,6 @@ impl TileConfig {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-    }
-
-    /// Validates the tiling against a BFP operating point: a nonzero
-    /// [`TileConfig::tile_k`] that is not a multiple of the group size
-    /// `g` moves quantization group boundaries — a silent accuracy
-    /// change, not just an FP-reordering one — so it is rejected here
-    /// and by the engine constructors in `mirage-core`.
-    ///
-    /// ```
-    /// use mirage_tensor::parallel::TileConfig;
-    /// use mirage_bfp::BfpConfig;
-    ///
-    /// let bfp = BfpConfig::mirage_default(); // g = 16
-    /// let mut config = TileConfig::auto();
-    /// assert!(config.validate(&bfp).is_ok()); // tile_k = 0: never split
-    /// config.tile_k = 32;
-    /// assert!(config.validate(&bfp).is_ok()); // multiple of g
-    /// config.tile_k = 24;
-    /// assert!(config.validate(&bfp).is_err()); // would re-group mid-block
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidGeometry`] when `tile_k` is nonzero
-    /// and not a multiple of `bfp.group_size()`.
-    pub fn validate(&self, bfp: &BfpConfig) -> Result<()> {
-        self.validate_group_size(bfp.group_size())
-    }
-
-    /// Like [`TileConfig::validate`] for an explicit group size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidGeometry`] when `tile_k` is nonzero
-    /// and not a multiple of `g`.
-    pub fn validate_group_size(&self, g: usize) -> Result<()> {
-        if self.tile_k > 0 && g > 0 && !self.tile_k.is_multiple_of(g) {
-            return Err(TensorError::InvalidGeometry(format!(
-                "tile_k = {} is not a multiple of the BFP group size g = {g}: \
-                 k-blocking would move quantization group boundaries and \
-                 silently change results",
-                self.tile_k
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -232,7 +169,7 @@ impl Default for TileConfig {
 /// let b = Tensor::full(&[32, 40], 2.0);
 /// let tiled = ParallelGemm::new(
 ///     ExactEngine,
-///     TileConfig { tile_m: 8, tile_n: 16, tile_k: 0, threads: 4 },
+///     TileConfig { tile_m: 8, tile_n: 16, threads: 4 },
 /// );
 /// let parallel = tiled.gemm(&a, &b)?;
 /// let serial = ExactEngine.gemm(&a, &b)?;
@@ -369,36 +306,6 @@ impl<E: GemmEngine> ParallelGemm<E> {
             .collect()
     }
 
-    /// One `(row band × column tile)` block, optionally k-blocked.
-    fn compute_block(&self, a_band: &Tensor, tile: &PreparedRhs, k: usize) -> Result<Tensor> {
-        let tk = self.config.tile_k;
-        if tk == 0 || tk >= k {
-            return self.inner.gemm_prepared(a_band, tile);
-        }
-        // k-blocking slices the reduction, so the whole-tile preparation
-        // cannot be reused — consistent with tile_k's documented status
-        // outside the bit-identity (and preparation) guarantees.
-        let col_tile = tile.raw();
-        let rows = a_band.shape()[0];
-        let cols = col_tile.shape()[1];
-        let mut acc = Tensor::zeros(&[rows, cols]);
-        for k0 in (0..k).step_by(tk) {
-            let k1 = (k0 + tk).min(k);
-            let mut a_data = Vec::with_capacity(rows * (k1 - k0));
-            for row in a_band.data().chunks(k) {
-                a_data.extend_from_slice(&row[k0..k1]);
-            }
-            let a_slice = Tensor::from_vec(a_data, &[rows, k1 - k0])?;
-            let b_slice = Tensor::from_vec(
-                col_tile.data()[k0 * cols..k1 * cols].to_vec(),
-                &[k1 - k0, cols],
-            )?;
-            let partial = self.inner.gemm(&a_slice, &b_slice)?;
-            acc = acc.add(&partial)?;
-        }
-        Ok(acc)
-    }
-
     /// Computes every column tile of one output row band (starting at
     /// output row `r0`), writing into the band's slice of the output
     /// buffer.
@@ -413,46 +320,27 @@ impl<E: GemmEngine> ParallelGemm<E> {
     ) -> Result<()> {
         let rows = band.len() / n;
         let a_band = Tensor::from_vec(a.data()[r0 * k..(r0 + rows) * k].to_vec(), &[rows, k])?;
+        let mut block = Vec::new();
         for (c0, tile) in col_tiles {
             let width = tile.n();
-            let block = self.compute_block(&a_band, tile, k)?;
-            for (out_row, block_row) in band.chunks_mut(n).zip(block.data().chunks(width)) {
+            self.inner.gemm_prepared_into(&a_band, tile, &mut block)?;
+            for (out_row, block_row) in band.chunks_mut(n).zip(block.chunks(width)) {
                 out_row[*c0..c0 + width].copy_from_slice(block_row);
             }
         }
         Ok(())
     }
 
-    /// The threaded fan-out shared by [`ParallelGemm::gemm`] and
-    /// [`ParallelGemm::gemm_prepared`]: row bands × column tiles over a
-    /// thread scope, every band consuming the **same** prepared B-side
-    /// state. `b_prepared` is the caller's whole-matrix preparation if
-    /// it already has one; with no column tiling it is shared by every
-    /// band directly, and with column tiling each tile is derived from
-    /// it via [`GemmEngine::prepare_tile`] — a view into the shared
-    /// packed buffers by column offset — falling back to slicing `b_raw`
-    /// and preparing the tile only for engines without packed state.
-    fn fan_out(
-        &self,
-        a: &Tensor,
-        b_raw: &Tensor,
-        b_prepared: Option<&PreparedRhs>,
-        (m, k, n): (usize, usize, usize),
-        threads: usize,
-    ) -> Result<Tensor> {
-        let mut out = Vec::new();
-        self.fan_out_into(a, b_raw, b_prepared, (m, k, n), threads, &mut out)?;
-        Tensor::from_vec(out, &[m, n])
-    }
-
-    /// [`ParallelGemm::fan_out`] writing into a caller buffer (cleared
-    /// and resized to `m × n` first) — the threaded half of
-    /// [`GemmEngine::gemm_prepared_into`].
+    /// The threaded fan-out behind [`ParallelGemm::run_into`]: row
+    /// bands × column tiles over a thread scope, writing into `out`
+    /// (cleared and resized to `m × n` first). Every band consumes the
+    /// **same** prepared B-side state — shared directly with no column
+    /// tiling, else through one [`PreparedRhs::slice_cols`] view per
+    /// column tile.
     fn fan_out_into(
         &self,
         a: &Tensor,
-        b_raw: &Tensor,
-        b_prepared: Option<&PreparedRhs>,
+        b: &PreparedRhs,
         (m, k, n): (usize, usize, usize),
         threads: usize,
         out: &mut Vec<f32>,
@@ -473,63 +361,18 @@ impl<E: GemmEngine> ParallelGemm<E> {
         } else {
             n
         };
-        // With k-blocking active, compute_block works from raw k-slices
-        // and never consumes prepared state, so preparing here would be
-        // pure waste — stage raw wrappers instead.
-        let k_blocked = self.config.tile_k > 0 && self.config.tile_k < k;
-        let stage = |tile: &Tensor| -> Result<PreparedRhs> {
-            if k_blocked {
-                PreparedRhs::from_raw(self.inner.name(), tile)
-            } else {
-                self.inner.prepare(tile)
-            }
-        };
-        // Column tiles of B are staged and prepared once, then shared by
-        // every band; with no column tiling the caller's preparation (or
-        // one fresh whole-matrix preparation) is shared directly.
-        let whole: Option<PreparedRhs> = if tile_n >= n && b_prepared.is_none() {
-            Some(stage(b_raw)?)
-        } else {
-            None
-        };
-        let owned_tiles: Vec<(usize, PreparedRhs)> = if tile_n >= n {
+        let views: Vec<(usize, PreparedRhs)> = if tile_n >= n {
             Vec::new()
         } else {
             (0..n)
                 .step_by(tile_n)
-                .map(|c0| {
-                    let width = tile_n.min(n - c0);
-                    // A caller-supplied whole-matrix preparation is
-                    // *sliced* when the engine supports it: the tile
-                    // shares the packed quantized buffers by offset, so
-                    // column tiling no longer re-quantizes B per tile
-                    // (or, worse, per call on the prepared path).
-                    if !k_blocked {
-                        if let Some(whole) = b_prepared {
-                            if let Some(tile) = self.inner.prepare_tile(whole, c0, width)? {
-                                return Ok((c0, tile));
-                            }
-                        }
-                    }
-                    let mut data = Vec::with_capacity(k * width);
-                    for row in b_raw.data().chunks(n) {
-                        data.extend_from_slice(&row[c0..c0 + width]);
-                    }
-                    let tile = Tensor::from_vec(data, &[k, width])?;
-                    Ok((c0, stage(&tile)?))
-                })
+                .map(|c0| Ok((c0, b.slice_cols(c0, tile_n.min(n - c0))?)))
                 .collect::<Result<_>>()?
         };
         let col_tiles: Vec<(usize, &PreparedRhs)> = if tile_n >= n {
-            vec![(
-                0,
-                // Provably infallible: `whole` is `Some` exactly when
-                // `b_prepared` is `None` in this branch (staged above).
-                // mirage-lint: allow(panic_ok) -- whole is staged above whenever b_prepared is None in this branch
-                b_prepared.unwrap_or_else(|| whole.as_ref().expect("prepared above")),
-            )]
+            vec![(0, b)]
         } else {
-            owned_tiles.iter().map(|(c0, tile)| (*c0, tile)).collect()
+            views.iter().map(|(c0, view)| (*c0, view)).collect()
         };
 
         out.clear();
@@ -645,65 +488,34 @@ impl<E: GemmEngine> GemmEngine for ParallelGemm<E> {
         self.inner.tile_invariant()
     }
 
-    fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        let (m, k, n) = gemm_dims(a, b)?;
-        let threads = self.planned_workers(m, k, n);
-        if threads <= 1 {
-            return self.inner.gemm(a, b);
-        }
-        self.fan_out(a, b, None, (m, k, n), threads)
-    }
-
     /// Delegates to the wrapped engine: the prepared state belongs to
     /// the arithmetic, not to the driver, so one preparation serves the
-    /// serial path, every band of the threaded path, and any other
-    /// driver wrapping the same engine.
+    /// serial path, every band and column tile of the threaded path, and
+    /// any other driver wrapping the same engine.
     fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
         self.inner.prepare(b)
     }
 
-    /// Delegates tile slicing to the wrapped engine, like
-    /// [`ParallelGemm::prepare`]: the packed column-view belongs to the
-    /// arithmetic, so an outer driver wrapping this one (nested batch
-    /// drivers, shared engine stacks) slices the same shared buffers
-    /// instead of falling back to re-quantizing each tile.
-    fn prepare_tile(
-        &self,
-        whole: &PreparedRhs,
-        c0: usize,
-        width: usize,
-    ) -> Result<Option<PreparedRhs>> {
-        self.inner.prepare_tile(whole, c0, width)
-    }
-
-    /// The threaded driver against an already-prepared weight: every row
-    /// band shares the caller's preparation, so repeated calls never
-    /// re-run the engine's B-side quantization — per band *or* per call.
-    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        let (m, k, n) = gemm_dims(a, b.raw())?;
-        let threads = self.planned_workers(m, k, n);
-        if threads <= 1 {
-            return self.inner.gemm_prepared(a, b);
-        }
-        self.fan_out(a, b.raw(), Some(b), (m, k, n), threads)
-    }
-
-    /// The threaded driver writing into a caller buffer: small problems
-    /// delegate to the wrapped engine's `gemm_prepared_into`, large ones
-    /// fan out and have the workers fill the buffer in place —
-    /// bit-identical to [`ParallelGemm::gemm_prepared`] either way.
-    fn gemm_prepared_into(
+    /// Small problems, non-tile-invariant engines and nested drivers
+    /// hand the whole call — epilogue included, so fused kernel tails
+    /// still run — to the wrapped engine. Large ones fan out and have
+    /// the workers fill `out` in place, then apply the epilogue in one
+    /// pass, which is bit-identical to the fused form by the
+    /// [`GemmEngine::run_into`] epilogue contract.
+    fn run_into(
         &self,
         a: &Tensor,
         b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
         let (m, k, n) = gemm_dims(a, b.raw())?;
         let threads = self.planned_workers(m, k, n);
         if threads <= 1 {
-            return self.inner.gemm_prepared_into(a, b, out);
+            return self.inner.run_into(a, b, epilogue, out);
         }
-        self.fan_out_into(a, b.raw(), Some(b), (m, k, n), threads, out)?;
+        self.fan_out_into(a, b, (m, k, n), threads, out)?;
+        epilogue.apply(out, m, n)?;
         Ok((m, n))
     }
 }
@@ -714,6 +526,7 @@ mod tests {
     use crate::engines::{AnalogFxpEngine, BfpEngine, ExactEngine, StochasticBfpEngine};
     use mirage_bfp::BfpConfig;
     use rand::SeedableRng;
+    use std::sync::atomic::AtomicUsize;
 
     fn pair(seed: u64, m: usize, k: usize, n: usize) -> (Tensor, Tensor) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -727,7 +540,6 @@ mod tests {
         TileConfig {
             tile_m,
             tile_n,
-            tile_k: 0,
             threads: 4,
         }
     }
@@ -743,20 +555,6 @@ mod tests {
             TileConfig::auto().effective_threads(),
             TileConfig::auto().effective_threads()
         );
-    }
-
-    #[test]
-    fn validate_rejects_group_misaligned_tile_k() {
-        let bfp = BfpConfig::mirage_default(); // g = 16
-        let mut config = TileConfig::auto();
-        assert!(config.validate(&bfp).is_ok()); // tile_k = 0
-        config.tile_k = 48;
-        assert!(config.validate(&bfp).is_ok()); // 3 g
-        config.tile_k = 24;
-        let err = config.validate(&bfp).unwrap_err();
-        assert!(err.to_string().contains("tile_k"), "{err}");
-        assert!(config.validate_group_size(24).is_ok());
-        assert!(config.validate_group_size(16).is_err());
     }
 
     #[test]
@@ -812,21 +610,6 @@ mod tests {
             parallel.gemm(&a, &b).unwrap().data(),
             ExactEngine.gemm(&a, &b).unwrap().data()
         );
-    }
-
-    #[test]
-    fn tile_k_blocking_stays_close_to_serial() {
-        // k-blocking reorders FP accumulation: close, not bit-identical.
-        let (a, b) = pair(94, 40, 96, 40);
-        let config = TileConfig {
-            tile_m: 8,
-            tile_n: 0,
-            tile_k: 32,
-            threads: 4,
-        };
-        let blocked = ParallelGemm::new(ExactEngine, config).gemm(&a, &b).unwrap();
-        let serial = ExactEngine.gemm(&a, &b).unwrap();
-        assert!(blocked.allclose(&serial, 1e-4));
     }
 
     #[test]
@@ -923,5 +706,101 @@ mod tests {
         let batch = parallel.gemm_batch(std::slice::from_ref(&a), &b).unwrap();
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].data(), engine.gemm(&a, &b).unwrap().data());
+    }
+
+    /// A tile-invariant engine that counts the non-empty epilogues it is
+    /// handed, then runs the exact kernel.
+    #[derive(Default)]
+    struct EpilogueSpy {
+        seen: AtomicUsize,
+    }
+
+    impl GemmEngine for EpilogueSpy {
+        fn name(&self) -> &'static str {
+            "epilogue-spy"
+        }
+        fn tile_invariant(&self) -> bool {
+            true
+        }
+        fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
+            ExactEngine.prepare(b)
+        }
+        fn run_into(
+            &self,
+            a: &Tensor,
+            b: &PreparedRhs,
+            epilogue: &Epilogue<'_>,
+            out: &mut Vec<f32>,
+        ) -> Result<(usize, usize)> {
+            if !epilogue.is_empty() {
+                self.seen.fetch_add(1, Ordering::Relaxed);
+            }
+            ExactEngine.run_into(a, b, epilogue, out)
+        }
+    }
+
+    #[test]
+    fn serial_branch_hands_the_epilogue_to_the_wrapped_engine() {
+        // Below the parallel threshold the driver must pass the caller's
+        // epilogue through, so fused kernel tails (the BFP bias/ReLU
+        // fold) still run under the driver.
+        let (a, b) = pair(100, 4, 8, 6);
+        let bias = [0.5f32, -0.25, 1.0, -1.0, 0.0, 2.0];
+        let epilogue = Epilogue::none().with_bias(&bias).with_relu();
+        let driver = ParallelGemm::new(EpilogueSpy::default(), four_threads(0, 0));
+        assert_eq!(driver.planned_workers(4, 8, 6), 1);
+        let prepared = driver.prepare(&b).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(
+            driver.run_into(&a, &prepared, &epilogue, &mut out).unwrap(),
+            (4, 6)
+        );
+        assert_eq!(driver.inner().seen.load(Ordering::Relaxed), 1);
+        let mut want = ExactEngine.gemm(&a, &b).unwrap().data().to_vec();
+        epilogue.apply(&mut want, 4, 6).unwrap();
+        assert_eq!(out, want);
+    }
+
+    #[test]
+    fn fan_out_is_bit_identical_to_the_unfused_sequence() {
+        let engine = BfpEngine::new(BfpConfig::mirage_default());
+        let (m, k, n) = (64, 48, 40);
+        let (a, b) = pair(101, m, k, n);
+        let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.05 - 1.0).collect();
+        let residual: Vec<f32> = (0..m * n).map(|i| (i % 7) as f32 * 0.1 - 0.3).collect();
+        let prepared = engine.prepare(&b).unwrap();
+        let driver = ParallelGemm::new(engine, four_threads(16, 16));
+        for epilogue in [
+            Epilogue::none(),
+            Epilogue::none().with_relu(),
+            Epilogue::none().with_bias(&bias).with_relu(),
+            Epilogue::none()
+                .with_bias(&bias)
+                .with_residual(&residual)
+                .with_relu(),
+        ] {
+            let mut unfused = Vec::new();
+            engine
+                .gemm_prepared_into(&a, &prepared, &mut unfused)
+                .unwrap();
+            epilogue.apply(&mut unfused, m, n).unwrap();
+            let unfused: Vec<u32> = unfused.iter().map(|v| v.to_bits()).collect();
+            // The threaded branch itself, whatever the host's core count…
+            let mut fanned = Vec::new();
+            driver
+                .fan_out_into(&a, &prepared, (m, k, n), 4, &mut fanned)
+                .unwrap();
+            epilogue.apply(&mut fanned, m, n).unwrap();
+            let fanned: Vec<u32> = fanned.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(fanned, unfused, "{epilogue:?}");
+            // …and the public entry point, which takes it on multi-core
+            // hosts.
+            let mut fused = Vec::new();
+            driver
+                .run_into(&a, &prepared, &epilogue, &mut fused)
+                .unwrap();
+            let fused: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(fused, unfused, "{epilogue:?}");
+        }
     }
 }

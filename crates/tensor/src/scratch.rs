@@ -5,7 +5,7 @@
 //! state of a serving thread into an allocator benchmark. An
 //! [`ActivationScratch`] is a small ping-pong buffer arena: steps
 //! [`take`](ActivationScratch::take) a buffer, fill it (e.g. through
-//! [`crate::GemmEngine::gemm_prepared_into`]) and hand it to
+//! [`crate::GemmEngine::run_into`]) and hand it to
 //! [`Tensor::from_vec`]; once an activation is dead, its storage is
 //! [`recycle`](ActivationScratch::recycle)d back into the arena. After
 //! the first request, a fixed plan cycles the same few allocations

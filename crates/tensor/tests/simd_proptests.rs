@@ -77,7 +77,7 @@ where
             }
             let mut fused = Vec::new();
             engine
-                .gemm_prepared_epilogue_into(a, &prepared, &epilogue, &mut fused)
+                .run_into(a, &prepared, &epilogue, &mut fused)
                 .unwrap();
             let mut post = reference.data().to_vec();
             epilogue.apply(&mut post, m, n).unwrap();
