@@ -246,8 +246,8 @@ fn main() {
 
     // ── Group-dot: BfpBlock::dot chains vs flat slice dots ───────────
     {
-        let xa = BfpEngine::quantize_rows(&a, config);
-        let xb = BfpEngine::quantize_cols(&b, config).expect("rank-2");
+        let xa = pr3_quantize_rows(&a, config);
+        let xb = pr3_quantize_cols(&b, config);
         let pa = BfpEngine::pack_rows(&a, config);
         let pb = BfpEngine::pack_cols(&b, config).unwrap();
         // One full row×col sweep of group dots per rep.

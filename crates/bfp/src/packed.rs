@@ -129,30 +129,13 @@ impl PackedBfpMatrix {
                 right: rows * k,
             });
         }
+        let quant = self.reset(rows, k);
         let g = self.config.group_size();
-        let groups_per_row = k.div_ceil(g);
-        self.rows = rows;
-        self.k = k;
-        self.groups_per_row = groups_per_row;
-        self.mantissas.clear();
-        self.mantissas.resize(rows * groups_per_row * g, 0);
-        let narrow = self.keep_shadow && self.config.max_mantissa() <= i64::from(i16::MAX);
-        self.mantissas_i16.clear();
-        if narrow {
-            self.mantissas_i16.resize(rows * groups_per_row * g, 0);
-        }
-        self.scale_exps.clear();
-        self.scale_exps.resize(rows * groups_per_row, 0);
-
-        let quant = GroupQuantizer {
-            bm: self.config.mantissa_bits() as i32,
-            limit: self.config.max_mantissa() as f64,
-            limit_u64: self.config.max_mantissa() as u64,
-            rounding: self.config.rounding(),
-        };
+        let padded = self.padded_k();
+        let groups_per_row = self.groups_per_row;
         for r in 0..rows {
             let row = &data[r * k..(r + 1) * k];
-            let m_row = &mut self.mantissas[r * groups_per_row * g..(r + 1) * groups_per_row * g];
+            let m_row = &mut self.mantissas[r * padded..(r + 1) * padded];
             let e_row = &mut self.scale_exps[r * groups_per_row..(r + 1) * groups_per_row];
             // Monomorphize the common group sizes: with a compile-time
             // group length the shared-exponent scan and the mantissa
@@ -169,12 +152,110 @@ impl PackedBfpMatrix {
                 }
             }
         }
-        if narrow {
+        self.fill_narrow_shadow();
+        Ok(())
+    }
+
+    /// Quantizes the **columns** of a row-major `k × n` matrix into
+    /// this matrix's buffers: row `j` of the result is column `j` of
+    /// `data`, grouped along `k` — exactly what
+    /// [`PackedBfpMatrix::quantize_rows_into`] makes of the transpose,
+    /// without materializing it.
+    ///
+    /// A `g × J` block of the input (one group of rows, `J` columns) is
+    /// gathered into an L1-resident stack tile, so each input row is
+    /// read contiguously and each packed group is written contiguously;
+    /// every column group then goes through the same group quantizer as
+    /// the row path, so the result is bit-identical to quantizing `dataᵀ`
+    /// row by row. This is the B-side packing of every GEMM: a weight
+    /// `[k, n]` never needs its transposed copy.
+    ///
+    /// ```
+    /// use mirage_bfp::{BfpConfig, PackedBfpMatrix};
+    ///
+    /// let cfg = BfpConfig::new(4, 4)?;
+    /// let b = [1.0, 2.0, 0.5, -1.0, 0.25, 4.0]; // k = 3 rows, n = 2 columns
+    /// let bt = [1.0, 0.5, 0.25, 2.0, -1.0, 4.0];
+    /// let mut cols = PackedBfpMatrix::empty(cfg);
+    /// cols.quantize_cols_into(&b, 3, 2)?;
+    /// assert_eq!(cols, PackedBfpMatrix::quantize_rows(&bt, 2, 3, cfg)?);
+    /// # Ok::<(), mirage_bfp::BfpError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BfpError::LengthMismatch`] unless `data.len() == k * n`.
+    // mirage-lint: no_alloc
+    pub fn quantize_cols_into(&mut self, data: &[f32], k: usize, n: usize) -> Result<()> {
+        if data.len() != k * n {
+            return Err(BfpError::LengthMismatch {
+                left: data.len(),
+                right: k * n,
+            });
+        }
+        let quant = self.reset(n, k);
+        let g = self.config.group_size();
+        let (m_out, e_out) = (&mut self.mantissas[..], &mut self.scale_exps[..]);
+        let mut tile = [0.0f32; COL_TILE];
+        // The literal group sizes constant-fold through the inlined
+        // body, like the row path's monomorphized group lengths.
+        match g {
+            8 => quantize_cols_tiled(quant, data, k, n, 8, &mut tile, m_out, e_out),
+            16 => quantize_cols_tiled(quant, data, k, n, 16, &mut tile, m_out, e_out),
+            32 => quantize_cols_tiled(quant, data, k, n, 32, &mut tile, m_out, e_out),
+            64 => quantize_cols_tiled(quant, data, k, n, 64, &mut tile, m_out, e_out),
+            _ if g <= COL_TILE => {
+                quantize_cols_tiled(quant, data, k, n, g, &mut tile, m_out, e_out);
+            }
+            _ => {
+                // mirage-lint: allow(alloc_ok) -- only for g > COL_TILE, far beyond any hardware group size; one staging group per call
+                let mut wide = vec![0.0f32; g];
+                quantize_cols_tiled(quant, data, k, n, g, &mut wide, m_out, e_out);
+            }
+        }
+        self.fill_narrow_shadow();
+        Ok(())
+    }
+
+    /// Sets the shape to `rows` packed rows of `k` and zero-fills the
+    /// buffers in place (padding lanes must read zero), returning the
+    /// group quantizer for the configuration.
+    // mirage-lint: no_alloc
+    fn reset(&mut self, rows: usize, k: usize) -> GroupQuantizer {
+        let g = self.config.group_size();
+        self.rows = rows;
+        self.k = k;
+        self.groups_per_row = k.div_ceil(g);
+        let lanes = rows * self.groups_per_row * g;
+        self.mantissas.clear();
+        self.mantissas.resize(lanes, 0);
+        self.mantissas_i16.clear();
+        if self.narrow() {
+            self.mantissas_i16.resize(lanes, 0);
+        }
+        self.scale_exps.clear();
+        self.scale_exps.resize(rows * self.groups_per_row, 0);
+        GroupQuantizer {
+            bm: self.config.mantissa_bits() as i32,
+            limit: self.config.max_mantissa() as f64,
+            limit_u64: self.config.max_mantissa() as u64,
+            rounding: self.config.rounding(),
+        }
+    }
+
+    /// Whether the `i16` shadow is kept: enabled and every mantissa fits.
+    fn narrow(&self) -> bool {
+        self.keep_shadow && self.config.max_mantissa() <= i64::from(i16::MAX)
+    }
+
+    /// Copies the canonical mantissae into the `i16` shadow, if kept.
+    // mirage-lint: no_alloc
+    fn fill_narrow_shadow(&mut self) {
+        if self.narrow() {
             for (nl, &lane) in self.mantissas_i16.iter_mut().zip(&self.mantissas) {
                 *nl = lane as i16;
             }
         }
-        Ok(())
     }
 
     /// Number of quantized rows.
@@ -450,6 +531,84 @@ fn quantize_row_const<const G: usize>(
     }
 }
 
+/// Floats in the column quantizer's stack tile (16 KiB, L1-resident).
+const COL_TILE: usize = 4096;
+
+/// Most columns gathered per tile: 64 input floats are four cache lines
+/// per row read.
+const COL_TILE_J: usize = 64;
+
+/// The column quantizer's loop nest: for each block of `J` columns and
+/// each group of `g` rows, gather the `g × J` block into `tile` with
+/// columns contiguous (a small in-cache transpose; input rows are read
+/// contiguously), then quantize each column's group into its packed
+/// lanes. `tile` holds at least `g` floats.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn quantize_cols_tiled(
+    quant: GroupQuantizer,
+    data: &[f32],
+    k: usize,
+    n: usize,
+    g: usize,
+    tile: &mut [f32],
+    mantissas: &mut [i32],
+    scale_exps: &mut [i32],
+) {
+    let groups = k.div_ceil(g);
+    let padded = groups * g;
+    let jt = (tile.len() / g).clamp(1, COL_TILE_J);
+    for j0 in (0..n).step_by(jt) {
+        let jw = (n - j0).min(jt);
+        for gi in 0..groups {
+            let r0 = gi * g;
+            let glen = (k - r0).min(g);
+            gather_block(&data[r0 * n + j0..], n, glen, jw, g, tile);
+            for jj in 0..jw {
+                let j = j0 + jj;
+                let lanes = &mut mantissas[j * padded + r0..j * padded + r0 + g];
+                let exp = &mut scale_exps[j * groups + gi];
+                if glen == g {
+                    quant.quantize_group(&tile[jj * g..jj * g + g], lanes, exp);
+                } else {
+                    quant.quantize_group(&tile[jj * g..jj * g + glen], &mut lanes[..glen], exp);
+                }
+            }
+        }
+    }
+}
+
+/// Copies the `rows × cols` block at the start of `src` (row stride
+/// `stride`) into `tile` column by column, column `c` at
+/// `tile[c * g..]`. Whole 8×8 sub-blocks go through a register-sized
+/// buffer, so each load and each store is eight contiguous floats; the
+/// ragged edges go element by element.
+#[inline(always)]
+fn gather_block(src: &[f32], stride: usize, rows: usize, cols: usize, g: usize, tile: &mut [f32]) {
+    let (rows8, cols8) = (rows - rows % 8, cols - cols % 8);
+    for r0 in (0..rows8).step_by(8) {
+        for c0 in (0..cols8).step_by(8) {
+            let mut blk = [[0.0f32; 8]; 8];
+            for (i, row) in blk.iter_mut().enumerate() {
+                let at = (r0 + i) * stride + c0;
+                row.copy_from_slice(&src[at..at + 8]);
+            }
+            for c in 0..8 {
+                let dst = &mut tile[(c0 + c) * g + r0..(c0 + c) * g + r0 + 8];
+                for (i, lane) in dst.iter_mut().enumerate() {
+                    *lane = blk[i][c];
+                }
+            }
+        }
+    }
+    for r in 0..rows {
+        let lo = if r < rows8 { cols8 } else { 0 };
+        for c in lo..cols {
+            tile[c * g + r] = src[r * stride + c];
+        }
+    }
+}
+
 // The three group-dot kernels below are the innermost loops of every
 // packed GEMM: pure integer multiply-accumulate over quantized
 // mantissae. Any floating point here would silently break the exact
@@ -689,5 +848,50 @@ mod tests {
     fn length_mismatch_is_rejected() {
         let err = PackedBfpMatrix::quantize_rows(&[1.0; 5], 2, 3, cfg(4, 4)).unwrap_err();
         assert_eq!(err, BfpError::LengthMismatch { left: 5, right: 6 });
+        let err = PackedBfpMatrix::empty(cfg(4, 4))
+            .quantize_cols_into(&[1.0; 5], 2, 3)
+            .unwrap_err();
+        assert_eq!(err, BfpError::LengthMismatch { left: 5, right: 6 });
+    }
+
+    /// `dataᵀ` of a row-major `k × n` matrix, by the definition.
+    fn transposed(data: &[f32], k: usize, n: usize) -> Vec<f32> {
+        (0..n)
+            .flat_map(|c| (0..k).map(move |r| data[r * n + c]))
+            .collect()
+    }
+
+    #[test]
+    fn column_quantizer_handles_groups_wider_than_its_tile() {
+        // g > COL_TILE takes the heap-staged branch; one column per tile.
+        let g = COL_TILE + 4;
+        let (k, n) = (g + 3, 3);
+        let data = values(k * n, 17, true);
+        let mut cols = PackedBfpMatrix::empty(cfg(4, g));
+        cols.quantize_cols_into(&data, k, n).unwrap();
+        let rows = PackedBfpMatrix::quantize_rows(&transposed(&data, k, n), n, k, cfg(4, g));
+        assert_eq!(cols, rows.unwrap());
+    }
+
+    #[test]
+    fn column_quantizer_reuses_buffers_and_clears_stale_state() {
+        let config = cfg(4, 16);
+        let mut scratch = PackedBfpMatrix::empty(config);
+        scratch
+            .quantize_cols_into(&values(50 * 8, 3, false), 50, 8)
+            .unwrap();
+        let mantissa_ptr = scratch.mantissas().as_ptr();
+        let data = values(50 * 8, 4, false);
+        scratch.quantize_cols_into(&data, 50, 8).unwrap();
+        assert_eq!(scratch.mantissas().as_ptr(), mantissa_ptr);
+        assert_eq!(
+            scratch,
+            PackedBfpMatrix::quantize_rows(&transposed(&data, 50, 8), 8, 50, config).unwrap()
+        );
+        // A smaller all-zero refill leaves no stale lane or exponent.
+        scratch.quantize_cols_into(&[0.0; 20 * 2], 20, 2).unwrap();
+        assert_eq!(scratch.mantissas().as_ptr(), mantissa_ptr);
+        assert!(scratch.mantissas().iter().all(|&m| m == 0));
+        assert!(scratch.scale_exps().iter().all(|&e| e == 0));
     }
 }

@@ -3,6 +3,77 @@
 use mirage_bfp::{BfpBlock, BfpConfig, BfpVector, PackedBfpMatrix, RoundingMode};
 use proptest::prelude::*;
 
+/// Hostile inputs for the packed quantizers: NaN, ±Inf, subnormals,
+/// signed zeros and `±f32::MAX` among ordinary values.
+fn hostile_values(len: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let v = ((state >> 40) as f32 / 8388608.0) - 1.0;
+            match state % 29 {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 => f32::from_bits(1 + (state >> 41) as u32 % 0x007f_ffff),
+                4 => -f32::from_bits(0x007f_ffff),
+                5 => -0.0,
+                6 => 0.0,
+                7 => f32::MAX,
+                8 => -f32::MAX,
+                9 => f32::MIN_POSITIVE,
+                _ => v * 1e3,
+            }
+        })
+        .collect()
+}
+
+/// Row-major transpose of a `k × n` matrix by the definition.
+fn naive_transpose(data: &[f32], k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0; k * n];
+    for r in 0..k {
+        for c in 0..n {
+            out[c * k + r] = data[r * n + c];
+        }
+    }
+    out
+}
+
+/// `quantize_cols_into(b, k, n)` must equal `quantize_rows(bᵀ)` on
+/// every buffer: `i32` mantissae, the `i16` shadow (kept or dropped)
+/// and the shared exponents.
+fn assert_cols_match_rows_of_transpose(
+    data: &[f32],
+    k: usize,
+    n: usize,
+    cfg: BfpConfig,
+) -> Result<(), TestCaseError> {
+    let bt = naive_transpose(data, k, n);
+    for shadow in [true, false] {
+        let fresh = || {
+            let m = PackedBfpMatrix::empty(cfg);
+            if shadow {
+                m
+            } else {
+                m.without_narrow_shadow()
+            }
+        };
+        let mut cols = fresh();
+        cols.quantize_cols_into(data, k, n).unwrap();
+        let mut rows = fresh();
+        rows.quantize_rows_into(&bt, n, k).unwrap();
+        prop_assert_eq!((cols.rows(), cols.k()), (n, k));
+        prop_assert_eq!(cols.mantissas(), rows.mantissas());
+        prop_assert_eq!(cols.mantissas_i16(), rows.mantissas_i16());
+        prop_assert_eq!(cols.scale_exps(), rows.scale_exps());
+        if !cols.mantissas().is_empty() {
+            let narrow = shadow && cfg.max_mantissa() <= i64::from(i16::MAX);
+            prop_assert_eq!(cols.mantissas_i16().is_some(), narrow);
+        }
+    }
+    Ok(())
+}
+
 fn finite_f32() -> impl Strategy<Value = f32> {
     // Moderate range so squared errors stay finite in f64.
     prop::num::f32::NORMAL.prop_map(|v| v.clamp(-1e12, 1e12))
@@ -153,6 +224,26 @@ proptest! {
         prop_assert_eq!(px.dot_rows(0, &pw, 0).to_bits(), want.to_bits());
     }
 
+    /// The column quantizer is bit-identical to quantizing the
+    /// transpose row by row, across ragged `k`, `n` on both sides of
+    /// the 64-column tile, the constant-folded group sizes and an odd
+    /// one, both rounding modes, `bm` with and without the `i16`
+    /// shadow, and hostile values.
+    #[test]
+    fn column_quantizer_matches_rows_of_the_transpose(
+        k in 0usize..=150,
+        n in 0usize..=140,
+        g_pick in 0usize..5,
+        bm in 1u32..=23,
+        nearest in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let g = [8, 16, 32, 64, 12][g_pick];
+        let mode = if nearest { RoundingMode::RoundNearest } else { RoundingMode::Truncate };
+        let cfg = BfpConfig::new(bm, g).unwrap().with_rounding(mode);
+        assert_cols_match_rows_of_transpose(&hostile_values(k * n, seed), k, n, cfg)?;
+    }
+
     /// Vector dot never loses more than the worst-case group bound.
     #[test]
     fn vector_dot_error_bounded(
@@ -174,5 +265,24 @@ proptest! {
         // 8-bit mantissae: error per element ~2^-7; allow generous slack.
         let bound = n as f64 * 2.0f64.powi(-6);
         prop_assert!((d - exact).abs() <= bound, "err = {}", (d - exact).abs());
+    }
+}
+
+/// The edge shapes of the column quantizer, exhaustively: `k` and `n`
+/// of 0 and 1, ragged tails, one past the tile width.
+#[test]
+fn column_quantizer_edge_shapes_match_rows_of_the_transpose() {
+    for g in [8, 16, 32, 64, 12] {
+        for mode in [RoundingMode::Truncate, RoundingMode::RoundNearest] {
+            for bm in [4, 16] {
+                let cfg = BfpConfig::new(bm, g).unwrap().with_rounding(mode);
+                for k in [0, 1, g - 1, g, g + 1, 2 * g + 3] {
+                    for n in [0, 1, 7, 63, 64, 65] {
+                        let data = hostile_values(k * n, (k * 1000 + n) as u64);
+                        assert_cols_match_rows_of_transpose(&data, k, n, cfg).unwrap();
+                    }
+                }
+            }
+        }
     }
 }

@@ -3,8 +3,7 @@
 use super::{gemm_dims, Epilogue, GemmEngine, PreparedRhs};
 use crate::{Result, Tensor, TensorError};
 use mirage_bfp::{
-    group_dot, group_dot_i16, group_dot_i32, pow2, BfpBlock, BfpConfig, GemmTail, PackedBfpMatrix,
-    SimdPolicy,
+    group_dot, group_dot_i16, group_dot_i32, pow2, BfpConfig, GemmTail, PackedBfpMatrix, SimdPolicy,
 };
 use std::sync::Arc;
 
@@ -273,9 +272,9 @@ impl BfpEngine {
 
     /// Quantizes the rows of a matrix into one packed, contiguous
     /// buffer — the hot-path layout every flat kernel consumes. Groups
-    /// run along the reduction (column) dimension exactly like
-    /// [`BfpEngine::quantize_rows`]; the packed form is bit-identical
-    /// group by group (see [`PackedBfpMatrix`]).
+    /// run along the reduction (column) dimension, bit-identical group
+    /// by group to [`mirage_bfp::BfpBlock::quantize`] on each row's
+    /// chunks (see [`PackedBfpMatrix`]).
     pub fn pack_rows(t: &Tensor, config: BfpConfig) -> PackedBfpMatrix {
         let (rows, k) = (t.shape()[0], t.shape()[1]);
         PackedBfpMatrix::quantize_rows(t.data(), rows, k, config)
@@ -294,15 +293,16 @@ impl BfpEngine {
         packed
     }
 
-    /// Packs the columns of `B` (groups along the reduction dimension):
-    /// the B-side half of [`BfpEngine::gemm`], shared by
-    /// [`GemmEngine::prepare`].
+    /// Packs the columns of `B` (groups along the reduction dimension)
+    /// straight from its row-major data, with no transposed copy (see
+    /// [`PackedBfpMatrix::quantize_cols_into`]): the B-side half of
+    /// [`BfpEngine::gemm`], shared by [`GemmEngine::prepare`].
     ///
     /// # Errors
     ///
     /// Returns [`crate::TensorError::RankMismatch`] unless `b` is rank-2.
     pub fn pack_cols(b: &Tensor, config: BfpConfig) -> Result<PackedBfpMatrix> {
-        Ok(Self::pack_rows(&b.transpose2d()?, config))
+        Self::pack_cols_into(b, PackedBfpMatrix::empty(config))
     }
 
     /// [`BfpEngine::pack_cols`] without the `i16` shadow (see
@@ -312,37 +312,15 @@ impl BfpEngine {
     ///
     /// Returns [`crate::TensorError::RankMismatch`] unless `b` is rank-2.
     pub fn pack_cols_wide(b: &Tensor, config: BfpConfig) -> Result<PackedBfpMatrix> {
-        Ok(Self::pack_rows_wide(&b.transpose2d()?, config))
+        Self::pack_cols_into(b, PackedBfpMatrix::empty(config).without_narrow_shadow())
     }
 
-    /// Quantizes the rows of a matrix into BFP groups along the reduction
-    /// (column) dimension. Returns `rows × ceil(k/g)` blocks, row-major.
-    ///
-    /// This is the **reference** (legacy) representation: the packed
-    /// kernels are verified bit-identical against it, and device models
-    /// that want one heap object per group still consume it.
-    pub fn quantize_rows(t: &Tensor, config: BfpConfig) -> Vec<Vec<BfpBlock>> {
-        let cols = t.shape()[1];
-        let g = config.group_size();
-        (0..t.shape()[0])
-            .map(|r| {
-                let row = &t.data()[r * cols..(r + 1) * cols];
-                row.chunks(g)
-                    .map(|chunk| BfpBlock::quantize(chunk, config))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Quantizes the columns of `B` (groups along the reduction
-    /// dimension) — the B-side half of [`BfpEngine::gemm`], shared by
-    /// [`GemmEngine::prepare`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::TensorError::RankMismatch`] unless `b` is rank-2.
-    pub fn quantize_cols(b: &Tensor, config: BfpConfig) -> Result<Vec<Vec<BfpBlock>>> {
-        Ok(Self::quantize_rows(&b.transpose2d()?, config))
+    fn pack_cols_into(b: &Tensor, mut packed: PackedBfpMatrix) -> Result<PackedBfpMatrix> {
+        let (k, n) = (b.rows()?, b.cols()?);
+        packed
+            .quantize_cols_into(b.data(), k, n)
+            .expect("tensor data length matches its shape");
+        Ok(packed)
     }
 
     /// The shared flat GEMM kernel: packs the rows of `A` and dots them
@@ -442,9 +420,6 @@ impl GemmEngine for BfpEngine {
     /// Packs the columns of `B` into one contiguous quantized buffer
     /// exactly once.
     fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
-        // Pack before copying the raw matrix: the packer's transpose
-        // scratch is freed by then, so the copy reuses that memory
-        // instead of growing the heap on every unprepared `gemm`.
         let packed = Self::pack_cols(b, self.config)?;
         Ok(
             PreparedRhs::from_raw(self.name(), b)?.with_state(Arc::new(PreparedBfpCols {
@@ -502,10 +477,26 @@ impl GemmEngine for BfpEngine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::engines::ExactEngine;
+    use mirage_bfp::BfpBlock;
     use rand::SeedableRng;
+
+    /// The legacy reference quantizer: each row of `t` chunked into
+    /// `ceil(k/g)` heap [`BfpBlock`]s along the reduction dimension.
+    /// Quantizing the columns of `B` is `block_rows(&b.transpose2d())`.
+    pub(in crate::engines) fn block_rows(t: &Tensor, config: BfpConfig) -> Vec<Vec<BfpBlock>> {
+        let k = t.shape()[1];
+        (0..t.shape()[0])
+            .map(|r| {
+                t.data()[r * k..(r + 1) * k]
+                    .chunks(config.group_size())
+                    .map(|chunk| BfpBlock::quantize(chunk, config))
+                    .collect()
+            })
+            .collect()
+    }
 
     #[test]
     fn high_precision_bfp_matches_exact() {
@@ -601,8 +592,8 @@ mod tests {
     /// in sync; the oracle is frozen legacy semantics.)
     fn legacy_block_gemm(a: &Tensor, b: &Tensor, config: BfpConfig) -> Tensor {
         let (m, n) = (a.shape()[0], b.shape()[1]);
-        let a_rows = BfpEngine::quantize_rows(a, config);
-        let b_cols = BfpEngine::quantize_cols(b, config).unwrap();
+        let a_rows = block_rows(a, config);
+        let b_cols = block_rows(&b.transpose2d().unwrap(), config);
         let mut out = vec![0.0f32; m * n];
         for (i, arow) in a_rows.iter().enumerate() {
             for (j, bcol) in b_cols.iter().enumerate() {

@@ -530,6 +530,7 @@ impl GemmEngine for RnsBfpEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::bfp::tests::block_rows;
     use mirage_bfp::BfpBlock;
     use mirage_rns::residue;
     use rand::SeedableRng;
@@ -564,8 +565,8 @@ mod tests {
                 })
                 .collect()
         };
-        let a_rows = convert(BfpEngine::quantize_rows(a, engine.config()));
-        let b_cols = convert(BfpEngine::quantize_cols(b, engine.config()).unwrap());
+        let a_rows = convert(block_rows(a, engine.config()));
+        let b_cols = convert(block_rows(&b.transpose2d().unwrap(), engine.config()));
         let mut out = vec![0.0f32; m * n];
         for (i, arow) in a_rows.iter().enumerate() {
             for (j, bcol) in b_cols.iter().enumerate() {

@@ -228,16 +228,18 @@ impl Tensor {
         self.require_rank(2)?;
         let (m, n) = (self.shape[0], self.shape[1]);
         let mut out = vec![0.0; m * n];
-        // Tiled traversal: both the reads and the writes of a 32×32
-        // tile stay within a few cache lines, instead of one side
-        // striding through the whole matrix (the B-side packing of
-        // every quantized GEMM transposes, so this is a hot path).
-        const T: usize = 32;
+        // 8×8 tiles, each written as eight contiguous output row
+        // segments. A tile touches eight input and eight output lines;
+        // even when a row is a multiple of 4 KiB, so that all eight
+        // land in one L1 set, they fit its 8 ways. A 32×32 tile written
+        // column by column would put 32 lines in that set and thrash it.
+        const T: usize = 8;
         for i0 in (0..m).step_by(T) {
+            let i1 = (i0 + T).min(m);
             for j0 in (0..n).step_by(T) {
-                for i in i0..(i0 + T).min(m) {
-                    for j in j0..(j0 + T).min(n) {
-                        out[j * m + i] = self.data[i * n + j];
+                for j in j0..(j0 + T).min(n) {
+                    for (i, o) in (i0..i1).zip(&mut out[j * m + i0..j * m + i1]) {
+                        *o = self.data[i * n + j];
                     }
                 }
             }
@@ -400,6 +402,27 @@ mod tests {
         assert_eq!(tt.shape(), &[3, 2]);
         assert_eq!(tt.transpose2d().unwrap(), t);
         assert_eq!(tt.at(&[2, 1]), t.at(&[1, 2]));
+    }
+
+    #[test]
+    fn transpose_matches_the_definition_on_ragged_tiles() {
+        let dims = [0, 1, 7, 8, 9, 33];
+        for &m in &dims {
+            for &n in &dims {
+                let t = Tensor::from_vec((0..m * n).map(|v| v as f32).collect(), &[m, n]).unwrap();
+                let tt = t.transpose2d().unwrap();
+                assert_eq!(tt.shape(), &[n, m]);
+                for i in 0..m {
+                    for j in 0..n {
+                        assert_eq!(
+                            tt.data()[j * m + i],
+                            t.data()[i * n + j],
+                            "{m}x{n} ({i}, {j})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -215,12 +215,26 @@ fn rns_bfp_engine_handles_empty_shapes() {
     assert_empty_shapes_are_well_formed(engine);
 }
 
+/// The legacy reference quantizer: each row of `t` chunked into
+/// `ceil(k/g)` heap [`BfpBlock`]s along the reduction dimension.
+fn block_rows(t: &Tensor, config: BfpConfig) -> Vec<Vec<BfpBlock>> {
+    let k = t.shape()[1];
+    (0..t.shape()[0])
+        .map(|r| {
+            t.data()[r * k..(r + 1) * k]
+                .chunks(config.group_size())
+                .map(|chunk| BfpBlock::quantize(chunk, config))
+                .collect()
+        })
+        .collect()
+}
+
 /// The legacy block-path BFP GEMM: the reference implementation the
 /// packed flat kernels must reproduce bit-for-bit.
 fn legacy_bfp_gemm(a: &Tensor, b: &Tensor, config: BfpConfig) -> Tensor {
     let (m, n) = (a.shape()[0], b.shape()[1]);
-    let a_rows = BfpEngine::quantize_rows(a, config);
-    let b_cols = BfpEngine::quantize_cols(b, config).unwrap();
+    let a_rows = block_rows(a, config);
+    let b_cols = block_rows(&b.transpose2d().unwrap(), config);
     let mut out = vec![0.0f32; m * n];
     for (i, arow) in a_rows.iter().enumerate() {
         for (j, bcol) in b_cols.iter().enumerate() {
@@ -262,8 +276,8 @@ fn legacy_rns_gemm(a: &Tensor, b: &Tensor, engine: &RnsBfpEngine) -> Tensor {
             })
             .collect()
     };
-    let a_rows = convert(BfpEngine::quantize_rows(a, engine.config()));
-    let b_cols = convert(BfpEngine::quantize_cols(b, engine.config()).unwrap());
+    let a_rows = convert(block_rows(a, engine.config()));
+    let b_cols = convert(block_rows(&b.transpose2d().unwrap(), engine.config()));
     let mut out = vec![0.0f32; m * n];
     for (i, arow) in a_rows.iter().enumerate() {
         for (j, bcol) in b_cols.iter().enumerate() {
